@@ -16,7 +16,7 @@
  *   --devices=N     device array size            (default 2)
  *   --tenants=N     tenant count                 (default 8)
  *   --gc-policy=P   fifo|deadline|overlap|all    (default all)
- *   --kernel=K      dense|event|parallel[@T]     (default event)
+ *   --kernel=K      dense|event                  (default event)
  *   --gcs=N         collections per tenant       (default 5)
  *   --queries=N     requests per tenant          (default 250000)
  */
@@ -59,21 +59,9 @@ parseU64(const std::string &text, const char *flag)
 void
 applyKernel(core::HwgcConfig &hwgc, const std::string &name)
 {
-    if (name == "dense") {
-        hwgc.kernel = KernelMode::Dense;
-    } else if (name == "event") {
-        hwgc.kernel = KernelMode::Event;
-    } else if (name.rfind("parallel", 0) == 0) {
-        hwgc.kernel = KernelMode::ParallelBsp;
-        const std::size_t at = name.find('@');
-        if (at != std::string::npos) {
-            hwgc.hostThreads = unsigned(
-                parseU64(name.substr(at + 1), "--kernel=parallel@"));
-        }
-    } else {
-        fatal("--kernel=%s: expected dense|event|parallel[@T]",
-              name.c_str());
-    }
+    const auto mode = parseKernelMode(name);
+    fatal_if(!mode, "--kernel=%s: expected dense|event", name.c_str());
+    hwgc.kernel = *mode;
 }
 
 /**

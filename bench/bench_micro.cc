@@ -9,7 +9,6 @@
 
 #include <cstdlib>
 #include <cstring>
-#include <thread>
 
 #include "bench_util.h"
 #include "core/hwgc_device.h"
@@ -141,18 +140,16 @@ BM_MarkQueueOnChip(benchmark::State &state)
 BENCHMARK(BM_MarkQueueOnChip);
 
 /**
- * Device-level kernel A/B/C: run the same full GC pause under the
- * dense, event and parallel kernels, timing host wall-clock of the
- * simulation only (heap and graph construction excluded). All kernels
- * must deliver the same simulated cycle count; the event kernel must
- * beat dense and the parallel kernel reports its speedup over event.
- * @p include_dense skips the (slow) dense reference for the
- * large-heap configuration, where the event kernel is the baseline.
+ * Device-level kernel A/B: run the same full GC pause under the dense
+ * and event kernels, timing host wall-clock of the simulation only
+ * (heap and graph construction excluded). Both kernels must deliver
+ * the same simulated cycle count. @p include_dense skips the (slow)
+ * dense reference for the large-heap configuration, where the event
+ * kernel is the baseline.
  */
-double
+void
 runKernelAb(const char *label, const workload::GraphParams &graph,
-            bench::BenchRecord &record, bool include_dense = true,
-            unsigned parallel_threads = 4)
+            bench::BenchRecord &record, bool include_dense = true)
 {
     struct Run
     {
@@ -161,7 +158,7 @@ runKernelAb(const char *label, const workload::GraphParams &graph,
         std::uint64_t executed = 0;
         std::uint64_t marked = 0;
     };
-    auto run_one = [&graph](KernelMode kernel, unsigned threads) {
+    auto run_one = [&graph](KernelMode kernel) {
         mem::PhysMem mem;
         runtime::Heap heap(mem);
         workload::GraphBuilder builder(heap, graph);
@@ -170,7 +167,6 @@ runKernelAb(const char *label, const workload::GraphParams &graph,
         heap.publishRoots();
         core::HwgcConfig config;
         config.kernel = kernel;
-        config.hostThreads = threads;
         core::HwgcDevice device(mem, heap.pageTable(), config);
         device.configure(heap);
         bench::HostTimer timer;
@@ -184,43 +180,30 @@ runKernelAb(const char *label, const workload::GraphParams &graph,
     };
     // Best of three per kernel: each run rebuilds an identical heap,
     // so sim results are deterministic and only host time varies.
-    auto best_of = [&run_one](KernelMode kernel, unsigned threads = 0) {
-        Run best = run_one(kernel, threads);
+    auto best_of = [&run_one](KernelMode kernel) {
+        Run best = run_one(kernel);
         for (int i = 0; i < 2; ++i) {
-            const Run r = run_one(kernel, threads);
+            const Run r = run_one(kernel);
             if (r.hostSeconds < best.hostSeconds) {
                 best = r;
             }
         }
         return best;
     };
-    auto check_same = [](const char *label_a, const Run &a,
-                         const char *label_b, const Run &b) {
-        if (a.simCycles != b.simCycles || a.marked != b.marked) {
-            std::fprintf(stderr,
-                         "kernel A/B diverged: %s %llu cycles / %llu "
-                         "marked, %s %llu cycles / %llu marked\n",
-                         label_a, (unsigned long long)a.simCycles,
-                         (unsigned long long)a.marked, label_b,
-                         (unsigned long long)b.simCycles,
-                         (unsigned long long)b.marked);
-            std::exit(1);
-        }
-    };
-
     const Run event = best_of(KernelMode::Event);
-    // parallel@1 runs every partition inline on the commit thread:
-    // it isolates the kernel's intrinsic overhead (staging + commit
-    // replay) from the cross-thread handshake, and is the honest
-    // number on hosts without spare cores.
-    const Run parallel1 = best_of(KernelMode::ParallelBsp, 1);
-    const Run parallel =
-        best_of(KernelMode::ParallelBsp, parallel_threads);
-    check_same("event", event, "parallel", parallel);
-    check_same("parallel-1", parallel1, "parallel", parallel);
     if (include_dense) {
         const Run dense = best_of(KernelMode::Dense);
-        check_same("dense", dense, "event", event);
+        if (dense.simCycles != event.simCycles ||
+            dense.marked != event.marked) {
+            std::fprintf(stderr,
+                         "kernel A/B diverged: dense %llu cycles / %llu "
+                         "marked, event %llu cycles / %llu marked\n",
+                         (unsigned long long)dense.simCycles,
+                         (unsigned long long)dense.marked,
+                         (unsigned long long)event.simCycles,
+                         (unsigned long long)event.marked);
+            std::exit(1);
+        }
         bench::printKernelSpeed(label, "dense", dense.hostSeconds,
                                 double(dense.simCycles));
         const double speedup = dense.hostSeconds / event.hostSeconds;
@@ -241,18 +224,6 @@ runKernelAb(const char *label, const workload::GraphParams &graph,
 
     bench::printKernelSpeed(label, "event", event.hostSeconds,
                             double(event.simCycles));
-    bench::printKernelSpeed(label, "parallel", parallel1.hostSeconds,
-                            double(parallel1.simCycles), 1);
-    bench::printKernelSpeed(label, "parallel", parallel.hostSeconds,
-                            double(parallel.simCycles),
-                            parallel_threads);
-    const double par_speedup = event.hostSeconds / parallel.hostSeconds;
-    std::printf("%s: parallel-kernel host speedup vs event: %.2fx at "
-                "1 thread, %.2fx at %u threads (%u host cores)\n",
-                label, event.hostSeconds / parallel1.hostSeconds,
-                par_speedup, parallel_threads,
-                std::thread::hardware_concurrency());
-    return par_speedup;
 }
 
 void
@@ -290,10 +261,8 @@ runKernelAbSuite()
     wide.seed = 13;
     runKernelAb("bench_micro/throughput", wide, record);
 
-    // Large heap: the parallel kernel's target shape — enough live
-    // work per simulated cycle that the per-cycle fan-out/join cost
-    // amortizes. Dense would dominate the wall clock here, so the
-    // event kernel is the baseline.
+    // Large heap: enough live work per simulated cycle that dense
+    // would dominate the wall clock, so the event kernel runs alone.
     workload::GraphParams large;
     large.liveObjects = 120000;
     large.garbageObjects = 60000;

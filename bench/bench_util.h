@@ -90,25 +90,21 @@ class HostTimer
  * Emits one JSON line of simulation-speed reporting — host wall-clock
  * and simulated-cycles-per-host-second (MIPS-style) — so the perf
  * trajectory (BENCH_*.json) can track kernel speed across PRs.
- * @p host_threads is the worker count the kernel ran with (1 for the
- * single-threaded dense/event kernels).
  */
 inline void
 printKernelSpeed(const char *bench, const char *kernel,
-                 double host_seconds, double sim_cycles,
-                 unsigned host_threads = 1)
+                 double host_seconds, double sim_cycles)
 {
     const double rate =
         host_seconds > 0.0 ? sim_cycles / host_seconds : 0.0;
-    // Bench and kernel labels can carry user-supplied text (partition
-    // specs, config summaries); escape them so the line stays JSON.
+    // Bench and kernel labels can carry user-supplied text (config
+    // summaries); escape them so the line stays JSON.
     std::printf("{\"bench\":\"%s\",\"kernel\":\"%s\","
-                "\"host_threads\":%u,"
                 "\"host_seconds\":%.6f,\"sim_cycles\":%.0f,"
                 "\"cycles_per_host_second\":%.0f}\n",
                 telemetry::jsonEscape(bench).c_str(),
                 telemetry::jsonEscape(kernel).c_str(),
-                host_threads, host_seconds, sim_cycles, rate);
+                host_seconds, sim_cycles, rate);
 }
 
 /**

@@ -310,16 +310,13 @@ main(int argc, char **argv)
             return 2;
         }
         if (!kernel_name.empty()) {
-            fuzz::KernelCase kc;
-            if (!fuzz::kernelCaseFromName(kernel_name, kc)) {
+            const auto mode = parseKernelMode(kernel_name);
+            if (!mode) {
                 std::fprintf(stderr, "fuzz_driver: unknown kernel '%s'\n",
                              kernel_name.c_str());
                 return 2;
             }
-            config.kernel = kc.mode;
-            if (kc.threads != 0) {
-                config.hostThreads = kc.threads;
-            }
+            config.kernel = *mode;
         }
 
         const double t0 = hostSeconds();

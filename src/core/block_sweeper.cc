@@ -31,30 +31,18 @@ BlockSweeper::BlockSweeper(std::string name, const HwgcConfig &config,
       tlb_(this->name() + ".tlb", config.sweeperTlbEntries)
 {
     panic_if(port_ == nullptr, "sweeper needs a memory port");
-    hasBspHooks_ = true;
-    stagedAssign_.reserve(1);
-    ptwPort_ = ptw_.registerRequester(this, this->name());
+    ptwPort_ = ptw_.registerRequester(this->name());
 }
 
 bool
 BlockSweeper::idle() const
 {
-    if (bspStagingActive()) {
-        // Foreign-partition view (the dispatcher): last cycle's
-        // published state minus what the dispatcher itself staged this
-        // cycle — the same answer the serial dispatcher-before-sweeper
-        // tick order produces.
-        return publishedIdle_ && stagedAssign_.empty();
-    }
     return !active_ && !inboxValid_;
 }
 
 bool
 BlockSweeper::drained() const
 {
-    if (bspStagingActive()) {
-        return publishedDrained_ && stagedAssign_.empty();
-    }
     return !active_ && !inboxValid_ && writesInFlight_ == 0;
 }
 
@@ -65,13 +53,6 @@ BlockSweeper::assign(const SweepJob &job, Tick now)
     panic_if(job.cellBytes == 0 || job.cellBytes > runtime::blockBytes,
              "bad cell size %u", job.cellBytes);
     pokeWakeup(); // Assigned work restarts the state machine.
-    if (bspStagingActive()) {
-        panic_if(!stagedAssign_.push({job, now}),
-                 "sweeper '%s': assign staging ring overflow",
-                 name().c_str());
-        detail::noteStagedEvent();
-        return;
-    }
     inboxJob_ = job;
     inboxAt_ = now;
     inboxValid_ = true;
@@ -93,28 +74,6 @@ BlockSweeper::activate()
     for (auto &line : lines_) {
         line.valid = false;
     }
-}
-
-void
-BlockSweeper::bspCommit(Tick now)
-{
-    (void)now;
-    StagedAssign sa;
-    while (stagedAssign_.pop(sa)) {
-        pokeWakeup();
-        panic_if(active_ || inboxValid_,
-                 "sweeper staged double assignment");
-        inboxJob_ = sa.job;
-        inboxAt_ = sa.at;
-        inboxValid_ = true;
-    }
-}
-
-void
-BlockSweeper::bspPublish()
-{
-    publishedIdle_ = !active_ && !inboxValid_;
-    publishedDrained_ = publishedIdle_ && writesInFlight_ == 0;
 }
 
 std::optional<Addr>
@@ -385,9 +344,6 @@ BlockSweeper::cycleClass(Tick now) const
 void
 BlockSweeper::save(checkpoint::Serializer &ser) const
 {
-    panic_if(!stagedAssign_.empty(),
-             "sweeper '%s': checkpoint with a staged assign",
-             name().c_str());
     ser.putBool(active_);
     ser.putU64(job_.entryVa);
     ser.putU64(job_.baseVa);
@@ -467,7 +423,6 @@ BlockSweeper::restore(checkpoint::Deserializer &des)
     checkpoint::getStat(des, freed_);
     checkpoint::getStat(des, lineFetches_);
     tlb_.restore(des);
-    bspPublish(); // Rebuild the foreign-partition snapshot.
 }
 
 void

@@ -16,62 +16,6 @@
 namespace hwgc::core
 {
 
-namespace
-{
-
-/**
- * Warm-up observer for --host-partition=cost: counts, per component,
- * the executed cycles it both ticked and classified as Busy — the
- * measured per-component load the kernel's LPT re-pack bins by
- * (System::rebalancePartitionWorkers). Purely observational (reads
- * cycleClass() only), chained in front of any profiler/tracer, and
- * detached after the warm-up window so steady-state cycles pay
- * nothing for it.
- */
-class PartitionCostSampler : public KernelObserver
-{
-  public:
-    explicit PartitionCostSampler(System &sys)
-        : sys_(sys), busy_(sys.components().size(), 0)
-    {
-    }
-
-    void setChain(KernelObserver *chain) { chain_ = chain; }
-    KernelObserver *chain() const { return chain_; }
-
-    void
-    cycleExecuted(Tick now, std::uint64_t active_mask) override
-    {
-        const auto &comps = sys_.components();
-        for (std::size_t i = 0; i < comps.size(); ++i) {
-            if (((active_mask >> i) & 1) != 0 &&
-                comps[i]->cycleClass(now) == CycleClass::Busy) {
-                ++busy_[i];
-            }
-        }
-        if (chain_ != nullptr) {
-            chain_->cycleExecuted(now, active_mask);
-        }
-    }
-
-    void
-    fastForwarded(Tick from, Tick to) override
-    {
-        if (chain_ != nullptr) {
-            chain_->fastForwarded(from, to);
-        }
-    }
-
-    const std::vector<std::uint64_t> &busy() const { return busy_; }
-
-  private:
-    System &sys_;
-    KernelObserver *chain_ = nullptr;
-    std::vector<std::uint64_t> busy_; //!< By registration index.
-};
-
-} // namespace
-
 HwgcDevice::HwgcDevice(mem::PhysMem &mem,
                        const mem::PageTable &page_table,
                        const HwgcConfig &config)
@@ -102,47 +46,26 @@ HwgcDevice::HwgcDevice(mem::PhysMem &mem,
         dramPtr_ = soc->dram;
         namePrefix_ = soc->namePrefix;
         statsPrefix_ = soc->statsPrefix;
-        unitPartition_ = soc->unitPartition;
     } else {
         ownSystem_ = std::make_unique<System>();
         sys_ = ownSystem_.get();
         // --kernel= / HWGC_KERNEL overrides the configured kernel so
         // binaries without their own kernel plumbing (examples,
-        // benches) can run any of the three bit-identical kernels.
+        // benches) can run either of the bit-identical kernels.
         KernelMode mode = config_.kernel;
         std::string kernel_opt = telemetry::options().kernel;
         if (kernel_opt.empty()) {
             // Direct env fallback for binaries that never construct a
-            // telemetry::Session (matches configurePartitions).
+            // telemetry::Session.
             if (const char *env = std::getenv("HWGC_KERNEL")) {
                 kernel_opt = env;
             }
         }
         if (!kernel_opt.empty()) {
-            if (kernel_opt == "dense") {
-                mode = KernelMode::Dense;
-            } else if (kernel_opt == "event") {
-                mode = KernelMode::Event;
-            } else if (kernel_opt.rfind("parallel", 0) == 0) {
-                mode = KernelMode::ParallelBsp;
-                const std::size_t at = kernel_opt.find('@');
-                if (at != std::string::npos) {
-                    char *end = nullptr;
-                    const unsigned long t = std::strtoul(
-                        kernel_opt.c_str() + at + 1, &end, 10);
-                    fatal_if(end == nullptr || *end != '\0' ||
-                                 at + 1 == kernel_opt.size(),
-                             "--kernel=%s: expected parallel@THREADS",
-                             kernel_opt.c_str());
-                    config_.hostThreads = unsigned(t);
-                } else if (kernel_opt != "parallel") {
-                    fatal("--kernel: unknown kernel '%s' (want dense, "
-                          "event or parallel[@T])", kernel_opt.c_str());
-                }
-            } else {
-                fatal("--kernel: unknown kernel '%s' (want dense, "
-                      "event or parallel[@T])", kernel_opt.c_str());
-            }
+            const auto parsed = parseKernelMode(kernel_opt);
+            fatal_if(!parsed, "--kernel: unknown kernel '%s' (want dense "
+                     "or event)", kernel_opt.c_str());
+            mode = *parsed;
         }
         sys_->setMode(mode);
 
@@ -341,10 +264,6 @@ HwgcDevice::HwgcDevice(mem::PhysMem &mem,
         sys_->declareWakeupInputs(memory_.get(), {});
     }
 
-    if (sys_->mode() == KernelMode::ParallelBsp) {
-        configurePartitions();
-    }
-
     installWalkResolver();
     registerTelemetry();
 }
@@ -389,156 +308,6 @@ HwgcDevice::declareSharedBusEdges()
         sys_->declareWakeupInputs(
             tracer_.get(), {static_cast<Clocked *>(busPtr_)});
     }
-}
-
-void
-HwgcDevice::configurePartitions()
-{
-    // A fleet device's units share one fleet-assigned partition;
-    // device-to-device interaction only happens through the shared
-    // bus, so each device can evaluate on its own worker. The fleet
-    // driver partitions the shared bus/memory and owns the host
-    // thread-count and --host-partition overrides.
-    if (external_) {
-        for (Clocked *c : ownComponents_) {
-            sys_->setPartition(c, unitPartition_);
-        }
-        return;
-    }
-
-    std::string spec = config_.hostPartition;
-    if (spec.empty()) {
-        spec = telemetry::options().hostPartition;
-    }
-    if (spec.empty()) {
-        // Direct env fallback so binaries that never construct a
-        // telemetry::Session (the gtest suites under CI's
-        // HWGC_HOST_THREADS=4 runs) still honor the variables.
-        if (const char *env = std::getenv("HWGC_HOST_PARTITION")) {
-            spec = env;
-        }
-    }
-
-    // The partition atoms (DESIGN.md §8): groups whose members
-    // exchange same-cycle state — queue handoffs, the shared trace
-    // queue, synchronous cache lookups — and therefore may never
-    // split across partitions. Everything between atoms is latched by
-    // at least one cycle (bus request/response latency, the PTW's
-    // per-requester ports, the sweepers' dispatch inbox), so any
-    // assignment of whole atoms to partitions is legal.
-    std::vector<std::vector<Clocked *>> atoms;
-    {
-        std::vector<Clocked *> traversal{rootReader_.get(),
-                                         marker_.get(), tracer_.get(),
-                                         markQueue_.get()};
-        if (config_.sharedCache) {
-            // Fig 18a: the units' ports hit the shared cache inside
-            // their own ticks, and the PTW's PTE fetches do too — the
-            // whole front end collapses into one atom.
-            traversal.push_back(ptw_.get());
-            traversal.push_back(sharedCache_.get());
-        }
-        atoms.push_back(std::move(traversal));
-        atoms.push_back({reclamation_.get()});
-        for (auto &sweeper : reclamation_->sweepers()) {
-            atoms.push_back({sweeper.get()});
-        }
-        if (!config_.sharedCache) {
-            // Fig 18b: the PTW owns a private cache it probes
-            // synchronously; both ride one atom.
-            atoms.push_back({ptw_.get(), ptwCache_.get()});
-        }
-        atoms.push_back({static_cast<Clocked *>(bus_.get())});
-        atoms.push_back({static_cast<Clocked *>(memory_.get())});
-    }
-
-    costPartition_ = spec == "cost";
-    if (spec == "fine" || spec == "cost") {
-        // Finest legal partitioning: one partition per atom. "cost"
-        // starts identical and re-packs partitions onto workers from
-        // measured busy cycles after the warm-up phases (see
-        // rebalanceFromSampler).
-        for (unsigned a = 0; a < unsigned(atoms.size()); ++a) {
-            for (Clocked *c : atoms[a]) {
-                sys_->setPartition(c, a);
-            }
-        }
-    } else {
-        // Affinity heuristic: units=0, bus=1, memory=2; explicit
-        // "name=P" items then move single components (validated
-        // against the atoms below).
-        sys_->setPartition(bus_.get(), 1);
-        sys_->setPartition(memory_.get(), 2);
-        std::size_t pos = 0;
-        while (pos < spec.size()) {
-            std::size_t comma = spec.find(',', pos);
-            if (comma == std::string::npos) {
-                comma = spec.size();
-            }
-            const std::string item = spec.substr(pos, comma - pos);
-            pos = comma + 1;
-            if (item.empty()) {
-                continue;
-            }
-            const std::size_t eq = item.find('=');
-            panic_if(eq == std::string::npos || eq == 0,
-                     "--host-partition: '%s' is not name=partition",
-                     item.c_str());
-            const std::string name = item.substr(0, eq);
-            char *end = nullptr;
-            const unsigned long part_val =
-                std::strtoul(item.c_str() + eq + 1, &end, 10);
-            fatal_if(end == item.c_str() + eq + 1 || *end != '\0',
-                     "--host-partition: '%s' has a non-numeric "
-                     "partition", item.c_str());
-            const unsigned part = unsigned(part_val);
-            Clocked *target = nullptr;
-            for (Clocked *c : sys_->components()) {
-                if (c->name() == name) {
-                    target = c;
-                    break;
-                }
-            }
-            panic_if(target == nullptr,
-                     "--host-partition: unknown component '%s'",
-                     name.c_str());
-            sys_->setPartition(target, part);
-        }
-    }
-
-    // Cohesion: every atom's members must share one partition.
-    for (const auto &atom : atoms) {
-        const unsigned part = sys_->partitionOf(*atom.front());
-        for (const Clocked *c : atom) {
-            panic_if(sys_->partitionOf(*c) != part,
-                     "--host-partition: '%s' cannot leave its "
-                     "same-cycle-coupled group (with '%s')",
-                     c->name().c_str(), atom.front()->name().c_str());
-        }
-    }
-
-    unsigned batch = config_.superstepMax;
-    if (batch == 0) {
-        batch = telemetry::options().superstepMax;
-    }
-    if (batch == 0) {
-        if (const char *env = std::getenv("HWGC_SUPERSTEP_MAX")) {
-            batch = unsigned(std::strtoul(env, nullptr, 10));
-        }
-    }
-    sys_->setSuperstepMax(batch);
-
-    unsigned threads = config_.hostThreads;
-    if (threads == 0) {
-        threads = telemetry::options().hostThreads;
-    }
-    if (threads == 0) {
-        if (const char *env = std::getenv("HWGC_HOST_THREADS")) {
-            threads = telemetry::parseHostThreads(
-                env, "HWGC_HOST_THREADS", 0);
-        }
-    }
-    sys_->setHostThreads(threads);
 }
 
 void
@@ -637,35 +406,6 @@ HwgcDevice::registerTelemetry()
     } else if (sysTracer_) {
         sys_->setObserver(sysTracer_.get());
     }
-
-    // --host-partition=cost: a sampler at the head of the observer
-    // chain counts per-component busy cycles during the warm-up
-    // phases; rebalanceFromSampler() turns them into a worker
-    // re-pack. Observers never touch simulated state, so the sampled
-    // run stays bit-identical.
-    if (costPartition_ && sys_->mode() == KernelMode::ParallelBsp) {
-        auto sampler = std::make_unique<PartitionCostSampler>(*sys_);
-        sampler->setChain(sys_->observer());
-        sys_->setObserver(sampler.get());
-        costSampler_ = std::move(sampler);
-    }
-}
-
-void
-HwgcDevice::rebalanceFromSampler(bool final_phase)
-{
-    if (!costSampler_) {
-        return;
-    }
-    auto *sampler =
-        static_cast<PartitionCostSampler *>(costSampler_.get());
-    sys_->rebalancePartitionWorkers(sampler->busy());
-    if (final_phase) {
-        // Sampling window over: detach, restoring whatever observer
-        // chain telemetry installed underneath.
-        sys_->setObserver(sampler->chain());
-        costSampler_.reset();
-    }
 }
 
 HwgcDevice::~HwgcDevice()
@@ -676,7 +416,7 @@ HwgcDevice::~HwgcDevice()
     if (sysTracer_) {
         sysTracer_->flush(sys_->now());
     }
-    if (sysTracer_ || profiler_ || costSampler_) {
+    if (sysTracer_ || profiler_) {
         sys_->setObserver(nullptr);
     }
     auto &registry = telemetry::StatsRegistry::global();
@@ -809,14 +549,6 @@ HwgcDevice::runMark()
     }
     HwPhaseResult result = finishMark();
     result.cycles = cycles;
-    if (costSampler_ && !costMarkRebalanced_) {
-        // First mark phase doubles as the cost-model warm-up window:
-        // re-pack workers now so the sweep (and any later cycle)
-        // already runs balanced. Keep sampling until the first sweep
-        // completes the picture.
-        costMarkRebalanced_ = true;
-        rebalanceFromSampler(false);
-    }
 
     const Tick end = sys_->now();
     DPRINTF(end, "Device", "%s: mark phase done, %llu marked",
@@ -881,7 +613,6 @@ HwgcDevice::runSweep()
     }
     HwPhaseResult result = finishSweep();
     result.cycles = cycles;
-    rebalanceFromSampler(true);
 
     const Tick end = sys_->now();
     DPRINTF(end, "Device", "%s: sweep phase done, %llu freed",

@@ -37,8 +37,7 @@ namespace hwgc::core
  * device is instantiated into a fleet it joins an externally owned
  * System and shares one Interconnect + memory device with its peer
  * devices instead of building a private memory side. The fleet
- * driver owns kernel mode, partitions for the shared components,
- * telemetry for the shared bus/memory, checkpoint arming and the
+ * driver owns kernel mode, telemetry for the shared bus/memory, checkpoint arming and the
  * watchdog; the device only contributes its unit components.
  */
 struct SocContext
@@ -49,7 +48,6 @@ struct SocContext
     mem::Dram *dram = nullptr;        //!< Non-null when DRAM-backed.
     std::string namePrefix;           //!< Component prefix, "hwgc0.".
     std::string statsPrefix;          //!< Stats prefix, "system.hwgc0".
-    unsigned unitPartition = 0;       //!< BSP partition for the units.
 };
 
 /** The device's memory-mapped register file (driver interface). */
@@ -170,8 +168,8 @@ class HwgcDevice
      * component's queues/registers/statistics, the trace queue, and
      * the functional memory image. Restoring into an identically
      * configured device resumes the run bit-identically — same final
-     * cycle count, same statistics — under any of the three kernels
-     * (kernel mode and host threading are host knobs, not state).
+     * cycle count, same statistics — under either kernel (kernel
+     * mode is a host knob, not state).
      * @{
      */
 
@@ -221,9 +219,9 @@ class HwgcDevice
 
     /**
      * Architectural configuration fingerprint embedded in every
-     * checkpoint. Deliberately excludes the kernel mode and host
-     * threading/partition knobs: those change host execution only, so
-     * a checkpoint saved under one kernel restores under any other.
+     * checkpoint. Deliberately excludes the kernel mode: it changes
+     * host execution only, so a checkpoint saved under one kernel
+     * restores under the other.
      */
     std::string configSignature() const;
 
@@ -272,7 +270,6 @@ class HwgcDevice
     /** @name SoC plumbing: owned (classic) or shared (fleet) @{ */
     bool external_ = false;
     std::string namePrefix_;     //!< Prepended to component names.
-    unsigned unitPartition_ = 0; //!< BSP partition for the units.
     std::unique_ptr<System> ownSystem_;
     System *sys_ = nullptr;
     std::unique_ptr<mem::MemDevice> memory_;
@@ -305,27 +302,11 @@ class HwgcDevice
      *  attaches the kernel observer when telemetry is active. */
     void registerTelemetry();
 
-    /** ParallelBsp wiring: partition-scheme resolution ("", "fine",
-     *  "cost" or explicit name=P), atom-cohesion validation,
-     *  worker-thread and superstep-cap resolution. */
-    void configurePartitions();
-
-    /** Feeds the cost sampler's measurements into the kernel's LPT
-     *  re-pack at the end of a warm-up phase (--host-partition=cost);
-     *  after the sweep-phase rebalance the sampler detaches. */
-    void rebalanceFromSampler(bool final_phase);
-
     std::string statsPrefix_;
     std::vector<std::unique_ptr<stats::Group>> statGroups_;
     std::vector<std::string> statPaths_;
     std::unique_ptr<telemetry::SystemTracer> sysTracer_;
     std::unique_ptr<telemetry::CycleProfiler> profiler_;
-
-    /** @name Cost-model partitioning (--host-partition=cost) @{ */
-    bool costPartition_ = false;      //!< Scheme "cost" selected.
-    std::unique_ptr<KernelObserver> costSampler_; //!< Warm-up counts.
-    bool costMarkRebalanced_ = false; //!< First-mark re-pack done.
-    /** @} */
 
     /** @name Armed checkpoint output (see armCheckpoint()) @{ */
     std::string checkpointOut_;

@@ -33,7 +33,7 @@ ReclamationUnit::ReclamationUnit(std::string name,
         // cycle profiler uses the edge to tell starvation from idle.
         sweepers_.back()->setUpstream(this);
     }
-    ptwPort_ = ptw_.registerRequester(this, this->name());
+    ptwPort_ = ptw_.registerRequester(this->name());
 }
 
 void

@@ -17,7 +17,7 @@ RootReader::RootReader(std::string name, const HwgcConfig &config,
       port_(port), ptw_(ptw), tlb_(this->name() + ".tlb", 4)
 {
     panic_if(port_ == nullptr, "root reader needs a memory port");
-    ptwPort_ = ptw_.registerRequester(this, this->name());
+    ptwPort_ = ptw_.registerRequester(this->name());
 }
 
 void

@@ -62,9 +62,7 @@ FleetLab::FleetLab(const FleetConfig &config,
              tenants.size(),
              (unsigned long long)config_.tenantStride);
 
-    // The devices join the shared System at construction, so kernel
-    // mode must be selected first (their BSP partition setup keys on
-    // it).
+    // The devices share this System and run its configured kernel.
     sys_.setMode(config_.hwgc.kernel);
 
     // Tenant heaps: disjoint addrBase strides of one shared PhysMem,
@@ -115,7 +113,6 @@ FleetLab::FleetLab(const FleetConfig &config,
         soc.dram = dramPtr_;
         soc.namePrefix = "hwgc" + std::to_string(d) + ".";
         soc.statsPrefix = registry.indexedPrefix("system.hwgc", d);
-        soc.unitPartition = d;
         dev.device = std::make_unique<core::HwgcDevice>(
             mem_, tenants_[0].heap->pageTable(), config_.hwgc, soc);
         dev.numClients = bus_->numClients() - dev.firstClient;
@@ -127,25 +124,6 @@ FleetLab::FleetLab(const FleetConfig &config,
     sys_.declareWakeupInputs(memory_.get(), {});
     for (Device &dev : devices_) {
         dev.device->declareSharedBusEdges();
-    }
-
-    if (config_.hwgc.kernel == KernelMode::ParallelBsp) {
-        // Device d's units live in partition d (set by the device
-        // constructor); the shared bus and memory get their own, as
-        // in the classic affinity heuristic.
-        sys_.setPartition(bus_.get(), config_.devices);
-        sys_.setPartition(memory_.get(), config_.devices + 1);
-        unsigned threads = config_.hwgc.hostThreads;
-        if (threads == 0) {
-            threads = telemetry::options().hostThreads;
-        }
-        if (threads == 0) {
-            if (const char *env = std::getenv("HWGC_HOST_THREADS")) {
-                threads = telemetry::parseHostThreads(
-                    env, "HWGC_HOST_THREADS", 0);
-            }
-        }
-        sys_.setHostThreads(threads);
     }
 
     // Per-tenant pacing: all of device d's bus clients are charged to

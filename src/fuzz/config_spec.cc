@@ -104,8 +104,6 @@ applyConfigSpec(core::HwgcConfig &config, const std::string &spec,
             config.ptwCacheParams.mshrs = u;
         } else if (key == "bw" && parseDouble(value, d)) {
             config.bus.throttleBytesPerCycle = d;
-        } else if (key == "threads" && parseUnsigned(value, u)) {
-            config.hostThreads = u;
         } else if (key == "devices" && parseUnsigned(value, u) &&
                    u != 0) {
             config.devices = u;
@@ -118,15 +116,11 @@ applyConfigSpec(core::HwgcConfig &config, const std::string &spec,
                 return fail("unknown mem model '" + value + "'");
             }
         } else if (key == "kernel") {
-            if (value == "dense") {
-                config.kernel = KernelMode::Dense;
-            } else if (value == "event") {
-                config.kernel = KernelMode::Event;
-            } else if (value == "parallel") {
-                config.kernel = KernelMode::ParallelBsp;
-            } else {
+            const auto mode = parseKernelMode(value);
+            if (!mode) {
                 return fail("unknown kernel '" + value + "'");
             }
+            config.kernel = *mode;
         } else {
             return fail("bad config spec item '" + item + "'");
         }

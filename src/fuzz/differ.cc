@@ -73,8 +73,7 @@ class HwUniverse
         }
 
         // Fleet shape: mirror FleetLab's SoC wiring (kernel mode
-        // first, units registered before bus before memory, partition
-        // d for device d's units).
+        // first, units registered before bus before memory).
         sys_ = std::make_unique<System>();
         sys_->setMode(config.kernel);
         if (config.memModel == core::MemModel::Ddr3) {
@@ -97,7 +96,6 @@ class HwUniverse
             soc.dram = dram_;
             soc.namePrefix = "hwgc" + std::to_string(d) + ".";
             soc.statsPrefix = registry.indexedPrefix("system.hwgc", d);
-            soc.unitPartition = d;
             fleet_.push_back(std::make_unique<core::HwgcDevice>(
                 mem_, heap_.pageTable(), config, soc));
         }
@@ -107,12 +105,6 @@ class HwUniverse
         sys_->declareWakeupInputs(memory_.get(), {});
         for (auto &dev : fleet_) {
             dev->declareSharedBusEdges();
-        }
-        if (config.kernel == KernelMode::ParallelBsp) {
-            sys_->setPartition(bus_.get(), config.devices);
-            sys_->setPartition(memory_.get(), config.devices + 1);
-            sys_->setHostThreads(
-                config.hostThreads != 0 ? config.hostThreads : 1);
         }
     }
 
@@ -368,42 +360,20 @@ std::vector<KernelCase>
 kernelMatrix()
 {
     return {
-        {KernelMode::Dense, 0, "dense"},
-        {KernelMode::Event, 0, "event"},
-        {KernelMode::ParallelBsp, 1, "parallel@1"},
-        {KernelMode::ParallelBsp, 4, "parallel@4"},
+        {KernelMode::Dense, kernelModeName(KernelMode::Dense)},
+        {KernelMode::Event, kernelModeName(KernelMode::Event)},
     };
 }
 
 bool
 kernelCaseFromName(const std::string &name, KernelCase &out)
 {
-    if (name == "dense") {
-        out = {KernelMode::Dense, 0, name};
-        return true;
+    const auto mode = parseKernelMode(name);
+    if (!mode) {
+        return false;
     }
-    if (name == "event") {
-        out = {KernelMode::Event, 0, name};
-        return true;
-    }
-    const std::string parallel = "parallel";
-    if (name.rfind(parallel, 0) == 0) {
-        unsigned threads = 1;
-        if (name.size() > parallel.size()) {
-            if (name[parallel.size()] != '@') {
-                return false;
-            }
-            const std::string n = name.substr(parallel.size() + 1);
-            if (n.empty() ||
-                n.find_first_not_of("0123456789") != std::string::npos) {
-                return false;
-            }
-            threads = unsigned(std::stoul(n));
-        }
-        out = {KernelMode::ParallelBsp, threads, name};
-        return true;
-    }
-    return false;
+    out = {*mode, name};
+    return true;
 }
 
 FuzzResult
@@ -499,9 +469,6 @@ runSchedule(const Schedule &schedule, const FuzzOptions &options)
             const KernelCase &kc = kernels[ki];
             core::HwgcConfig config = base;
             config.kernel = kc.mode;
-            if (kc.threads != 0) {
-                config.hostThreads = kc.threads;
-            }
             const bool inject_here = options.injectMarkBug &&
                 ci + 1 == grid.size() && ki + 1 == kernels.size();
 

@@ -24,7 +24,6 @@
 
 #include "mem/mem_device.h"
 #include "mem/phys_mem.h"
-#include "sim/spsc_ring.h"
 #include "sim/stats.h"
 
 namespace hwgc::mem
@@ -68,8 +67,6 @@ class Dram : public MemDevice
 
     // MemDevice interface.
     bool canAccept(const MemRequest &req) const override;
-    bool canAcceptBsp(const MemRequest &req, unsigned pendingReads,
-                      unsigned pendingWrites) const override;
     void sendRequest(const MemRequest &req, Tick now) override;
     Tick accessAtomic(const MemRequest &req, Tick now,
                       std::array<Word, maxReqWords> &rdata) override;
@@ -83,14 +80,6 @@ class Dram : public MemDevice
     CycleClass cycleClass(Tick now) const override;
     void save(checkpoint::Serializer &ser) const override;
     void restore(checkpoint::Deserializer &des) override;
-
-    /**
-     * ParallelBsp: applies the completions this cycle's tick retired.
-     * The functional PhysMem access, the in-flight decrement and the
-     * upstream onResponse all cross partition boundaries, so the tick
-     * stages them and they run here, on the commit thread.
-     */
-    void bspCommit(Tick now) override;
 
     /** Resets bank/row-buffer state (between experiment phases). */
     void resetBankState();
@@ -183,13 +172,6 @@ class Dram : public MemDevice
     unsigned writesInFlight_ = 0;
     std::priority_queue<Completion, std::vector<Completion>,
                         std::greater<Completion>> completions_;
-
-    /** Completions retired during a ParallelBsp evaluate tick, in
-     *  pop order; applied and delivered at bspCommit(). SPSC: the
-     *  worker ticking the controller produces, the commit thread
-     *  consumes after the join. Sized to maxReads + maxWrites — the
-     *  most completions that can ever be outstanding at once. */
-    SpscRing<MemRequest> stagedDeliveries_;
 
     stats::Scalar numReads_{"numReads"};
     stats::Scalar numWrites_{"numWrites"};

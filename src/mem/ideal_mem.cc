@@ -18,22 +18,12 @@ IdealMem::IdealMem(std::string name, const IdealMemParams &params,
     : MemDevice(std::move(name)), params_(params), mem_(mem),
       bandwidth_("bandwidth", params.bandwidthBucket)
 {
-    hasBspHooks_ = true; // Deliveries are staged in ParallelBsp mode.
-    stagedDeliveries_.reserve(params_.maxInFlight);
 }
 
 bool
 IdealMem::canAccept(const MemRequest &) const
 {
     return inFlight_ < params_.maxInFlight;
-}
-
-bool
-IdealMem::canAcceptBsp(const MemRequest &, unsigned pendingReads,
-                       unsigned pendingWrites) const
-{
-    return inFlight_ + pendingReads + pendingWrites <
-           params_.maxInFlight;
 }
 
 Tick
@@ -61,44 +51,14 @@ IdealMem::sendRequest(const MemRequest &req, Tick now)
 void
 IdealMem::tick(Tick now)
 {
-    // Delivery side effects cross partition boundaries in ParallelBsp
-    // mode (PhysMem access, the in-flight counter the bus polls, the
-    // upstream onResponse): stage them for bspCommit(). Blanket
-    // evaluate-phase predicate — from our own tick the active
-    // partition is ours, yet the responder may live anywhere.
-    const bool staging = bspEvaluatePhase();
     while (!completions_.empty() && completions_.top().at <= now) {
         const Completion c = completions_.top();
         completions_.pop();
-        if (staging) {
-            panic_if(!stagedDeliveries_.push(c.req),
-                     "IdealMem staged-delivery ring overflow");
-            detail::noteStagedEvent();
-            continue;
-        }
         MemResponse resp;
         resp.req = c.req;
         resp.completed = now;
         if (!c.req.timingOnly) {
             mem_.execute(c.req, resp.rdata);
-        }
-        panic_if(inFlight_ == 0, "in-flight underflow");
-        --inFlight_;
-        panic_if(responder_ == nullptr, "IdealMem has no responder");
-        responder_->onResponse(resp, now);
-    }
-}
-
-void
-IdealMem::bspCommit(Tick now)
-{
-    MemRequest req;
-    while (stagedDeliveries_.pop(req)) {
-        MemResponse resp;
-        resp.req = req;
-        resp.completed = now;
-        if (!req.timingOnly) {
-            mem_.execute(req, resp.rdata);
         }
         panic_if(inFlight_ == 0, "in-flight underflow");
         --inFlight_;
@@ -127,10 +87,6 @@ IdealMem::accessAtomic(const MemRequest &req, Tick now,
 void
 IdealMem::save(checkpoint::Serializer &ser) const
 {
-    // Checkpoints are only taken at inter-cycle boundaries, where the
-    // ParallelBsp staging buffer has been committed and cleared.
-    panic_if(!stagedDeliveries_.empty(),
-             "memory '%s' checkpointed mid-evaluate", name().c_str());
     ser.putU64(busFreeAt_);
     ser.putU64(inFlight_);
     // Drain a copy of the priority queue so completions serialize in
@@ -151,8 +107,6 @@ IdealMem::save(checkpoint::Serializer &ser) const
 void
 IdealMem::restore(checkpoint::Deserializer &des)
 {
-    panic_if(!stagedDeliveries_.empty(),
-             "memory '%s' restored mid-evaluate", name().c_str());
     busFreeAt_ = des.getU64();
     inFlight_ = unsigned(des.getU64());
     completions_ = {};

@@ -16,7 +16,6 @@
 
 #include "mem/mem_device.h"
 #include "mem/phys_mem.h"
-#include "sim/spsc_ring.h"
 #include "sim/stats.h"
 
 namespace hwgc::mem
@@ -47,8 +46,6 @@ class IdealMem : public MemDevice
              PhysMem &mem);
 
     bool canAccept(const MemRequest &req) const override;
-    bool canAcceptBsp(const MemRequest &req, unsigned pendingReads,
-                      unsigned pendingWrites) const override;
     void sendRequest(const MemRequest &req, Tick now) override;
     Tick accessAtomic(const MemRequest &req, Tick now,
                       std::array<Word, maxReqWords> &rdata) override;
@@ -59,10 +56,6 @@ class IdealMem : public MemDevice
     bool busy() const override;
     void save(checkpoint::Serializer &ser) const override;
     void restore(checkpoint::Deserializer &des) override;
-
-    /** ParallelBsp: applies deliveries staged by this cycle's tick
-     *  (same scheme as Dram::bspCommit, see there). */
-    void bspCommit(Tick now) override;
 
     Tick
     nextWakeup(Tick) const override
@@ -111,11 +104,6 @@ class IdealMem : public MemDevice
     unsigned inFlight_ = 0;
     std::priority_queue<Completion, std::vector<Completion>,
                         std::greater<Completion>> completions_;
-
-    /** Completions retired during a ParallelBsp evaluate tick. SPSC:
-     *  the worker ticking the pipe produces, the commit thread
-     *  consumes after the join; sized to the in-flight window. */
-    SpscRing<MemRequest> stagedDeliveries_;
 
     stats::Scalar numRequests_{"numRequests"};
     stats::Scalar bytesMoved_{"bytesMoved"};

@@ -35,26 +35,6 @@ class MemDevice : public Clocked
     /** True if a timed request of this kind can be enqueued now. */
     virtual bool canAccept(const MemRequest &req) const = 0;
 
-    /**
-     * ParallelBsp-aware admission check, used by the bus while its
-     * grants are staged: @p pendingReads / @p pendingWrites count
-     * grants the caller staged earlier in the same evaluate phase
-     * that this device has not received yet. A device that limits
-     * requests in flight must override this and add them to its live
-     * counters — the dense kernel's mid-tick sendRequest calls would
-     * have bumped those counters between two canAccept checks, and
-     * the replay at commit still will. The default is only correct
-     * for devices without admission limits.
-     */
-    virtual bool
-    canAcceptBsp(const MemRequest &req, unsigned pendingReads,
-                 unsigned pendingWrites) const
-    {
-        (void)pendingReads;
-        (void)pendingWrites;
-        return canAccept(req);
-    }
-
     /** Enqueues a timed request; caller must have checked canAccept. */
     virtual void sendRequest(const MemRequest &req, Tick now) = 0;
 

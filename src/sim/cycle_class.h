@@ -10,7 +10,7 @@
  * holds per component by construction. Classification is a *pure
  * function of end-of-cycle architectural state* — never of kernel
  * internals like the active mask (whose semantics differ between the
- * dense and event kernels) — so all three kernels attribute every
+ * dense and event kernels) — so both kernels attribute every
  * cycle identically and enabling the profiler cannot perturb the
  * simulation.
  */

@@ -46,38 +46,6 @@ jsonEscape(const std::string &s)
     return out;
 }
 
-unsigned
-parseHostThreads(const char *text, const char *source,
-                 unsigned fallback)
-{
-    if (text == nullptr || *text == '\0') {
-        warn("%s: empty thread count ignored", source);
-        return fallback;
-    }
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long v = std::strtoul(text, &end, 10);
-    // strtoul silently wraps negatives and stops at the first
-    // non-digit — both used to yield a surprise thread count.
-    if (end == text || *end != '\0' || errno == ERANGE ||
-        text[0] == '-') {
-        warn("%s: unparseable thread count '%s' ignored", source,
-             text);
-        return fallback;
-    }
-    if (v == 0) {
-        warn("%s: thread count 0 clamped to 1 (omit the option for "
-             "auto-sizing)", source);
-        return 1;
-    }
-    constexpr unsigned long cap = 1UL << 16;
-    if (v > cap) {
-        warn("%s: thread count %lu clamped to %lu", source, v, cap);
-        return unsigned(cap);
-    }
-    return unsigned(v);
-}
-
 namespace
 {
 
@@ -255,17 +223,6 @@ applyEnv()
     if (const char *v = std::getenv("HWGC_KERNEL")) {
         opts.kernel = v;
     }
-    if (const char *v = std::getenv("HWGC_HOST_THREADS")) {
-        opts.hostThreads =
-            parseHostThreads(v, "HWGC_HOST_THREADS", opts.hostThreads);
-    }
-    if (const char *v = std::getenv("HWGC_HOST_PARTITION")) {
-        opts.hostPartition = v;
-    }
-    if (const char *v = std::getenv("HWGC_SUPERSTEP_MAX")) {
-        opts.superstepMax = unsigned(parseU64Option(
-            v, "HWGC_SUPERSTEP_MAX", opts.superstepMax));
-    }
     if (const char *v = std::getenv("HWGC_CHECKPOINT_IN")) {
         opts.checkpointIn = v;
     }
@@ -313,16 +270,6 @@ parseArgs(int &argc, char **argv)
             Debug::parseFlagList(v);
         } else if (const char *v = valueOf(argv[i], "--kernel=")) {
             opts.kernel = v;
-        } else if (const char *v = valueOf(argv[i], "--host-threads=")) {
-            opts.hostThreads =
-                parseHostThreads(v, "--host-threads", opts.hostThreads);
-        } else if (const char *v =
-                       valueOf(argv[i], "--host-partition=")) {
-            opts.hostPartition = v;
-        } else if (const char *v =
-                       valueOf(argv[i], "--superstep-max=")) {
-            opts.superstepMax = unsigned(parseU64Option(
-                v, "--superstep-max", opts.superstepMax));
         } else if (const char *v = valueOf(argv[i], "--checkpoint-in=")) {
             opts.checkpointIn = v;
         } else if (const char *v =

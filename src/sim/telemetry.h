@@ -52,30 +52,18 @@ namespace hwgc::telemetry
 /**
  * JSON string escaping shared by every JSON emitter in the tree:
  * quotes, backslashes and all control characters (bytes < 0x20 become
- * \uXXXX), so user-supplied names (partition labels, stat paths)
+ * \uXXXX), so user-supplied names (component labels, stat paths)
  * can never break an export.
  */
 std::string jsonEscape(const std::string &s);
 
 /**
- * Validated parse of a ParallelBsp worker-thread count (the
- * --host-threads= / HWGC_HOST_THREADS / HWGC_CONFIG paths). Returns
- * @p fallback with a warning on unparseable or trailing-garbage
- * input; an explicit "0" is clamped to 1 with a warning (a
- * zero-thread worker pool cannot run — omit the option entirely for
- * auto-sizing). @p source names the option in the warnings.
- */
-unsigned parseHostThreads(const char *text, const char *source,
-                          unsigned fallback);
-
-/**
  * Process-wide telemetry + kernel options, settable from the CLI
  * (--stats-json=, --trace-out=, --stats-interval=, --debug-flags=,
- * --host-threads=, --host-partition=, --checkpoint-in=,
- * --checkpoint-out=, --checkpoint-at=, --profile, --watchdog-secs=,
- * --bench-out=), the environment (HWGC_STATS_JSON, HWGC_TRACE_OUT,
- * HWGC_STATS_INTERVAL, HWGC_DEBUG, HWGC_HOST_THREADS,
- * HWGC_HOST_PARTITION, HWGC_CHECKPOINT_IN, HWGC_CHECKPOINT_OUT,
+ * --kernel=, --checkpoint-in=, --checkpoint-out=, --checkpoint-at=,
+ * --profile, --watchdog-secs=, --bench-out=), the environment
+ * (HWGC_STATS_JSON, HWGC_TRACE_OUT, HWGC_STATS_INTERVAL, HWGC_DEBUG,
+ * HWGC_KERNEL, HWGC_CHECKPOINT_IN, HWGC_CHECKPOINT_OUT,
  * HWGC_CHECKPOINT_AT, HWGC_PROFILE, HWGC_WATCHDOG_SECS,
  * HWGC_BENCH_OUT) or directly by tests.
  */
@@ -109,35 +97,14 @@ struct Options
     /** @} */
 
     /**
-     * ParallelBsp worker threads (0 = one per hardware core). Applied
-     * by HwgcDevice when HwgcConfig::hostThreads is 0; simulated
-     * results are bit-identical for every value, only host wall-clock
-     * changes.
-     */
-    unsigned hostThreads = 0;
-
-    /**
-     * Simulation kernel override: "", "dense", "event" or "parallel"
-     * (--kernel= / HWGC_KERNEL). "" keeps each driver's configured
-     * HwgcConfig::kernel. All three kernels are bit-identical in
+     * Simulation kernel override: "", "dense" or "event" (--kernel= /
+     * HWGC_KERNEL). "" keeps each driver's configured
+     * HwgcConfig::kernel. Both kernels are bit-identical in
      * simulated cycles and statistics; this picks the host execution
      * strategy for binaries whose config the user cannot reach
      * (examples, benches).
      */
     std::string kernel;
-
-    /**
-     * ParallelBsp partition scheme: "", "fine", "cost" or
-     * "name=P[,name=P...]" (see HwgcConfig::hostPartition).
-     */
-    std::string hostPartition;
-
-    /**
-     * ParallelBsp superstep batch cap (see HwgcConfig::superstepMax).
-     * 0 leaves batches bounded only by the no-cross-edge proof; 1
-     * disables batching. Host-only knob.
-     */
-    unsigned superstepMax = 0;
 
     /**
      * Cycle-accounting profiler (DESIGN.md §10): every component

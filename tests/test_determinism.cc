@@ -6,10 +6,9 @@
  * every number in EXPERIMENTS.md reproducible.
  *
  * The KernelMatrix suite is the strongest form of that contract: the
- * {dense, event, parallel×{1,2,4,7 threads}×{affinity, fine, cost
- * partitions}×{superstep batching on/off/capped}} kernel matrix must
- * agree bit for bit on every modeled configuration — final cycle
- * counts, the full stats-JSON export, and the mark/sweep oracles.
+ * dense and event kernels must agree bit for bit on every modeled
+ * configuration — final cycle counts, the full stats-JSON export, and
+ * the mark/sweep oracles.
  */
 
 #include <gtest/gtest.h>
@@ -104,7 +103,7 @@ TEST(Determinism, SharedCacheRunsAreReproducible)
 }
 
 // ---------------------------------------------------------------------
-// Kernel matrix: every kernel mode and thread count must produce the
+// Kernel matrix: both kernel modes must produce the
 // same simulation, bit for bit.
 // ---------------------------------------------------------------------
 
@@ -146,13 +145,9 @@ struct MatrixResult
 };
 
 MatrixResult
-matrixRun(core::HwgcConfig config, KernelMode kernel, unsigned threads,
-          const char *partition = "", unsigned superstep_max = 0)
+matrixRun(core::HwgcConfig config, KernelMode kernel)
 {
     config.kernel = kernel;
-    config.hostThreads = threads;
-    config.hostPartition = partition;
-    config.superstepMax = superstep_max;
     driver::LabConfig lab_config;
     lab_config.runSw = false;
     lab_config.verify = true; // Oracle-checks marks and the swept heap.
@@ -200,46 +195,13 @@ expectSameStatsJson(const std::string &ref, const std::string &run)
 void
 expectKernelMatrixAgrees(const core::HwgcConfig &config)
 {
-    const auto ref = matrixRun(config, KernelMode::Dense, 0);
-    struct Case
-    {
-        const char *name;
-        KernelMode kernel;
-        unsigned threads;
-        const char *partition;
-        unsigned superstepMax;
-    };
-    // Odd and oversubscribed thread counts are deliberate: the
-    // partition→worker mapping and the worker clamp must not be able
-    // to affect results. Partition schemes and superstep caps are
-    // host-only knobs and must be equally invisible: "fine" maximizes
-    // cross-partition staging, "cost" adds the mid-run worker
-    // re-pack, superstepMax 1 disables batching while 0 leaves it
-    // bounded only by the no-cross-edge proof.
-    static constexpr Case cases[] = {
-        {"event", KernelMode::Event, 0, "", 0},
-        {"parallel-1", KernelMode::ParallelBsp, 1, "", 0},
-        {"parallel-2", KernelMode::ParallelBsp, 2, "", 0},
-        {"parallel-4", KernelMode::ParallelBsp, 4, "", 0},
-        {"parallel-7", KernelMode::ParallelBsp, 7, "", 0},
-        {"parallel-4-fine", KernelMode::ParallelBsp, 4, "fine", 0},
-        {"parallel-4-cost", KernelMode::ParallelBsp, 4, "cost", 0},
-        {"parallel-7-cost", KernelMode::ParallelBsp, 7, "cost", 0},
-        {"parallel-2-fine-nobatch", KernelMode::ParallelBsp, 2, "fine",
-         1},
-        {"parallel-3-cost-batch16", KernelMode::ParallelBsp, 3, "cost",
-         16},
-    };
-    for (const auto &c : cases) {
-        SCOPED_TRACE(c.name);
-        const auto run = matrixRun(config, c.kernel, c.threads,
-                                   c.partition, c.superstepMax);
-        EXPECT_EQ(ref.hwMark, run.hwMark);
-        EXPECT_EQ(ref.hwSweep, run.hwSweep);
-        EXPECT_EQ(ref.marked, run.marked);
-        EXPECT_EQ(ref.freed, run.freed);
-        expectSameStatsJson(ref.statsJson, run.statsJson);
-    }
+    const auto ref = matrixRun(config, KernelMode::Dense);
+    const auto run = matrixRun(config, KernelMode::Event);
+    EXPECT_EQ(ref.hwMark, run.hwMark);
+    EXPECT_EQ(ref.hwSweep, run.hwSweep);
+    EXPECT_EQ(ref.marked, run.marked);
+    EXPECT_EQ(ref.freed, run.freed);
+    expectSameStatsJson(ref.statsJson, run.statsJson);
 }
 
 TEST(KernelMatrix, BaselineDdr3)
@@ -282,40 +244,6 @@ TEST(KernelMatrix, TibLayout)
     expectKernelMatrixAgrees(config);
 }
 
-/**
- * The bit-identity cases above would pass vacuously if the superstep
- * batcher never engaged; this pins down that batches with K > 1
- * actually happen (the kernel's deterministic host counters say so)
- * and that superstepMax=1 really turns them off.
- */
-TEST(KernelMatrix, SuperstepBatchingFires)
-{
-    const auto countersFor = [](unsigned superstep_max) {
-        core::HwgcConfig config;
-        config.kernel = KernelMode::ParallelBsp;
-        config.hostThreads = 2;
-        config.superstepMax = superstep_max;
-        driver::LabConfig lab_config;
-        lab_config.runSw = false;
-        lab_config.hwgc = config;
-        driver::GcLab lab(workload::smokeProfile(), lab_config);
-        lab.run();
-        System &sys = lab.device().system();
-        return std::pair<std::uint64_t, std::uint64_t>(
-            sys.bspSupersteps(), sys.bspBatchedCycles());
-    };
-
-    const auto batched = countersFor(0);
-    EXPECT_GT(batched.second, 0u)
-        << "the no-cross-edge proof never batched a single cycle";
-
-    const auto unbatched = countersFor(1);
-    EXPECT_EQ(unbatched.second, 0u);
-    // Every batched cycle is a fan-out/join round the capped run must
-    // pay for individually.
-    EXPECT_GT(unbatched.first, batched.first);
-}
-
 // ---------------------------------------------------------------------
 // Fleet shape: two devices sharing one DRAM + interconnect, serving
 // multiple tenant heaps through the quantum-gridded service loop.
@@ -333,13 +261,12 @@ struct FleetMatrixResult
 };
 
 FleetMatrixResult
-fleetMatrixRun(KernelMode kernel, unsigned threads)
+fleetMatrixRun(KernelMode kernel)
 {
     driver::FleetConfig config;
     config.devices = 2;
     config.gcsPerTenant = 1;
     config.hwgc.kernel = kernel;
-    config.hwgc.hostThreads = threads;
 
     std::vector<driver::TenantParams> tenants(3);
     for (unsigned t = 0; t < tenants.size(); ++t) {
@@ -372,27 +299,13 @@ fleetMatrixRun(KernelMode kernel, unsigned threads)
 
 TEST(KernelMatrix, FleetTwoDevicesSharedDram)
 {
-    const auto ref = fleetMatrixRun(KernelMode::Dense, 0);
+    const auto ref = fleetMatrixRun(KernelMode::Dense);
     EXPECT_EQ(ref.totalGcs, 3u);
-    struct Case
-    {
-        const char *name;
-        KernelMode kernel;
-        unsigned threads;
-    };
-    static constexpr Case cases[] = {
-        {"event", KernelMode::Event, 0},
-        {"parallel-2", KernelMode::ParallelBsp, 2},
-        {"parallel-7", KernelMode::ParallelBsp, 7},
-    };
-    for (const auto &c : cases) {
-        SCOPED_TRACE(c.name);
-        const auto run = fleetMatrixRun(c.kernel, c.threads);
-        EXPECT_EQ(ref.finalCycle, run.finalCycle);
-        EXPECT_EQ(ref.totalGcs, run.totalGcs);
-        EXPECT_EQ(ref.perTenant, run.perTenant);
-        expectSameStatsJson(ref.statsJson, run.statsJson);
-    }
+    const auto run = fleetMatrixRun(KernelMode::Event);
+    EXPECT_EQ(ref.finalCycle, run.finalCycle);
+    EXPECT_EQ(ref.totalGcs, run.totalGcs);
+    EXPECT_EQ(ref.perTenant, run.perTenant);
+    expectSameStatsJson(ref.statsJson, run.statsJson);
 }
 
 // ---------------------------------------------------------------------
@@ -415,10 +328,9 @@ TEST(KernelMatrix, SpillStressTinyQueueWideGraph)
     profile.graph.maxRefs = 24;
     profile.numGCs = 1;
 
-    auto run = [&](KernelMode kernel, unsigned threads) {
+    auto run = [&](KernelMode kernel) {
         auto cfg = config;
         cfg.kernel = kernel;
-        cfg.hostThreads = threads;
         driver::LabConfig lab_config;
         lab_config.runSw = false;
         lab_config.verify = true;
@@ -435,21 +347,15 @@ TEST(KernelMatrix, SpillStressTinyQueueWideGraph)
                      lab.results().back().hwMarkCycles};
     };
 
-    const auto dense = run(KernelMode::Dense, 0);
+    const auto dense = run(KernelMode::Dense);
     ASSERT_GT(dense.entries, 0u) << "stress config did not spill";
     ASSERT_GT(dense.writes, 0u);
 
-    for (unsigned threads : {0u, 1u, 2u, 4u, 7u}) {
-        const KernelMode kernel =
-            threads == 0 ? KernelMode::Event : KernelMode::ParallelBsp;
-        SCOPED_TRACE(threads == 0 ? "event"
-                                  : "parallel-" + std::to_string(threads));
-        const auto other = run(kernel, threads);
-        EXPECT_EQ(dense.writes, other.writes);
-        EXPECT_EQ(dense.reads, other.reads);
-        EXPECT_EQ(dense.entries, other.entries);
-        EXPECT_EQ(dense.markCycles, other.markCycles);
-    }
+    const auto event = run(KernelMode::Event);
+    EXPECT_EQ(dense.writes, event.writes);
+    EXPECT_EQ(dense.reads, event.reads);
+    EXPECT_EQ(dense.entries, event.entries);
+    EXPECT_EQ(dense.markCycles, event.markCycles);
 }
 
 TEST(Determinism, SwSideIsReproducibleToo)

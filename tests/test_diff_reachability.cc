@@ -2,7 +2,7 @@
  * @file
  * Differential reachability property test: across ~100 randomly
  * generated heap graphs, the accelerator's mark set — computed under
- * the ParallelBsp kernel — must exactly equal the software collector's
+ * the default event kernel — must exactly equal the software collector's
  * reachability closure. The graph shape (fan-out, sharing, cycles,
  * arrays, root count) is itself derived from the seed so the sweep
  * covers chains, wide stars, dense DAGs and cyclic tangles alike.
@@ -92,11 +92,9 @@ checkSeed(std::uint64_t seed)
     const auto graph = shapeFor(seed);
     const std::string tag = "seed=" + std::to_string(seed);
 
-    // Hardware side: mark under the parallel kernel.
+    // Hardware side: mark under the default (event) kernel.
     Rig hw(graph);
     core::HwgcConfig config;
-    config.kernel = KernelMode::ParallelBsp;
-    config.hostThreads = 3; // One worker per partition.
     config.memModel = core::MemModel::Ideal;
     core::HwgcDevice device(hw.mem, hw.heap.pageTable(), config);
     device.configure(hw.heap);
@@ -128,7 +126,7 @@ checkSeed(std::uint64_t seed)
     ASSERT_EQ(hw_marked, sw_marked) << tag;
 }
 
-TEST(DiffReachability, HundredRandomGraphsUnderParallelKernel)
+TEST(DiffReachability, HundredRandomGraphs)
 {
     for (std::uint64_t seed = 1; seed <= 100; ++seed) {
         checkSeed(seed);

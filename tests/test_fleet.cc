@@ -2,7 +2,7 @@
  * @file
  * Fleet-mode tests: a device array sharing one interconnect + DRAM,
  * time-multiplexed across tenant heaps, must be bit-identical across
- * the dense/event/parallel kernels, checkpoint/restore mid-service
+ * the dense and event kernels, checkpoint/restore mid-service
  * without perturbing the run, honor per-tenant pacing budgets, and
  * dispatch in the order the configured policy defines. Also covers
  * the crash-hook registry the fleet leans on (one hook per session,
@@ -143,10 +143,9 @@ expectSameSig(const FleetSig &ref, const FleetSig &run)
 
 FleetSig
 runFleet(driver::FleetConfig config, KernelMode kernel,
-         unsigned threads, unsigned tenants = 4)
+         unsigned tenants = 4)
 {
     config.hwgc.kernel = kernel;
-    config.hwgc.hostThreads = threads;
     telemetry::StatsRegistry::global().clearRetired();
     driver::FleetLab lab(config, tinyTenants(tenants));
     lab.run();
@@ -157,26 +156,9 @@ void
 expectFleetMatrixAgrees(const driver::FleetConfig &config,
                         unsigned tenants = 4)
 {
-    const auto ref =
-        runFleet(config, KernelMode::Dense, 0, tenants);
+    const auto ref = runFleet(config, KernelMode::Dense, tenants);
     EXPECT_GT(ref.totalGcs, 0u);
-    struct Case
-    {
-        const char *name;
-        KernelMode kernel;
-        unsigned threads;
-    };
-    static constexpr Case cases[] = {
-        {"event", KernelMode::Event, 0},
-        {"parallel-1", KernelMode::ParallelBsp, 1},
-        {"parallel-2", KernelMode::ParallelBsp, 2},
-        {"parallel-7", KernelMode::ParallelBsp, 7},
-    };
-    for (const auto &c : cases) {
-        SCOPED_TRACE(c.name);
-        const auto run = runFleet(config, c.kernel, c.threads, tenants);
-        expectSameSig(ref, run);
-    }
+    expectSameSig(ref, runFleet(config, KernelMode::Event, tenants));
 }
 
 // ---------------------------------------------------------------------

@@ -168,15 +168,14 @@ TEST(FuzzConfigSpec, AppliesNamedKnobs)
     core::HwgcConfig config;
     std::string err;
     ASSERT_TRUE(fuzz::applyConfigSpec(
-        config, "mq=32,mshrs=2,mem=ideal,bw=2.5,kernel=parallel,threads=3",
+        config, "mq=32,mshrs=2,mem=ideal,bw=2.5,kernel=dense",
         &err))
         << err;
     EXPECT_EQ(config.markQueueEntries, 32u);
     EXPECT_EQ(config.sharedCacheParams.mshrs, 2u);
     EXPECT_EQ(config.memModel, core::MemModel::Ideal);
     EXPECT_EQ(config.bus.throttleBytesPerCycle, 2.5);
-    EXPECT_EQ(config.kernel, KernelMode::ParallelBsp);
-    EXPECT_EQ(config.hostThreads, 3u);
+    EXPECT_EQ(config.kernel, KernelMode::Dense);
 
     core::HwgcConfig untouched;
     ASSERT_TRUE(fuzz::applyConfigSpec(untouched, "", &err)) << err;
@@ -194,6 +193,10 @@ TEST(FuzzConfigSpec, RejectsUnknownKeysAndBadValues)
     EXPECT_NE(err.find("mq"), std::string::npos) << err;
     EXPECT_FALSE(fuzz::applyConfigSpec(config, "mem=tape", &err));
     EXPECT_FALSE(fuzz::applyConfigSpec(config, "mq", &err));
+    EXPECT_FALSE(fuzz::applyConfigSpec(config, "kernel=parallel", &err));
+    EXPECT_NE(err.find("parallel"), std::string::npos) << err;
+    EXPECT_FALSE(fuzz::applyConfigSpec(config, "threads=3", &err));
+    EXPECT_NE(err.find("threads"), std::string::npos) << err;
 }
 
 TEST(FuzzConfigSpec, DevicesAxisBuildsFleetShapes)
@@ -219,9 +222,9 @@ TEST(FuzzConfigSpec, KernelCaseNames)
     fuzz::KernelCase kc;
     ASSERT_TRUE(fuzz::kernelCaseFromName("dense", kc));
     EXPECT_EQ(kc.mode, KernelMode::Dense);
-    ASSERT_TRUE(fuzz::kernelCaseFromName("parallel@4", kc));
-    EXPECT_EQ(kc.mode, KernelMode::ParallelBsp);
-    EXPECT_EQ(kc.threads, 4u);
+    ASSERT_TRUE(fuzz::kernelCaseFromName("event", kc));
+    EXPECT_EQ(kc.mode, KernelMode::Event);
+    EXPECT_FALSE(fuzz::kernelCaseFromName("parallel@4", kc));
     EXPECT_FALSE(fuzz::kernelCaseFromName("vectorized", kc));
     EXPECT_FALSE(fuzz::kernelCaseFromName("parallel@x", kc));
 }
@@ -234,8 +237,8 @@ TEST(FuzzDiffer, SmallScheduleMatrixIsGreen)
 {
     const fuzz::FuzzResult result = fuzz::runSchedule(smallSchedule());
     EXPECT_TRUE(result.ok) << result.error;
-    // 2 collects x 2 quick-grid configs x 4 kernel legs.
-    EXPECT_EQ(result.collectsRun, 16u);
+    // 2 collects x 2 quick-grid configs x 2 kernel legs.
+    EXPECT_EQ(result.collectsRun, 8u);
 }
 
 TEST(FuzzDiffer, EveryShapeFamilyIsGreen)
@@ -265,8 +268,8 @@ TEST(FuzzDiffer, FleetShapeMatrixIsGreen)
     const fuzz::FuzzResult result =
         fuzz::runSchedule(smallSchedule(21), options);
     EXPECT_TRUE(result.ok) << result.error;
-    // 2 collects x 2 configs x 4 kernel legs.
-    EXPECT_EQ(result.collectsRun, 16u);
+    // 2 collects x 2 configs x 2 kernel legs.
+    EXPECT_EQ(result.collectsRun, 8u);
 }
 
 // ---------------------------------------------------------------------

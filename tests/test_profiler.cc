@@ -63,23 +63,11 @@ profiledRun(core::HwgcConfig config,
 void
 expectIdentityHolds(core::HwgcConfig config)
 {
-    struct Case
-    {
-        const char *name;
-        KernelMode kernel;
-        unsigned threads;
-    };
-    static constexpr Case cases[] = {
-        {"dense", KernelMode::Dense, 0},
-        {"event", KernelMode::Event, 0},
-        {"parallel-2", KernelMode::ParallelBsp, 2},
-    };
     OptionsGuard guard;
     telemetry::options().profile = true;
-    for (const auto &c : cases) {
-        SCOPED_TRACE(c.name);
-        config.kernel = c.kernel;
-        config.hostThreads = c.threads;
+    for (const KernelMode kernel : {KernelMode::Dense, KernelMode::Event}) {
+        SCOPED_TRACE(kernelModeName(kernel));
+        config.kernel = kernel;
         const auto lab = profiledRun(config);
         const telemetry::CycleProfiler *prof = lab->device().profiler();
         ASSERT_NE(prof, nullptr);

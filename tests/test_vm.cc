@@ -137,7 +137,7 @@ class PtwTest : public testing::Test
         ptw_ = std::make_unique<Ptw>("ptw", PtwParams{}, table_,
                                      makePort());
         bus_.setClientResponder(portId_, ptw_.get());
-        ptwPort_ = ptw_->registerRequester(nullptr, "test");
+        ptwPort_ = ptw_->registerRequester("test");
     }
 
     MemPort *
