@@ -19,16 +19,12 @@ Dram::Dram(std::string name, const DramParams &params, PhysMem &mem)
     panic_if(params_.busBytesPerCycle <= 0.0, "bad bus bandwidth");
 }
 
-unsigned
-Dram::bankIndex(Addr addr) const
+Dram::Pending
+Dram::decode(const MemRequest &req, Tick arrived) const
 {
-    return (addr / params_.rowBytes) % params_.banks;
-}
-
-std::uint64_t
-Dram::rowIndex(Addr addr) const
-{
-    return addr / (params_.rowBytes * params_.banks);
+    return {req, arrived,
+            unsigned((req.paddr / params_.rowBytes) % params_.banks),
+            req.paddr / (params_.rowBytes * params_.banks)};
 }
 
 bool
@@ -53,18 +49,17 @@ Dram::sendRequest(const MemRequest &req, Tick now)
     } else {
         ++readsInFlight_;
     }
-    queue_.push_back({req, now + params_.frontendLatency, false});
+    queue_.push_back(decode(req, now + params_.frontendLatency));
 }
 
 Tick
-Dram::serviceAccess(const MemRequest &req, Tick start)
+Dram::serviceAccess(const Pending &p, Tick start)
 {
-    Bank &bank = banks_[bankIndex(req.paddr)];
-    const std::uint64_t row = rowIndex(req.paddr);
+    Bank &bank = banks_[p.bank];
 
     Tick t = std::max(start, bank.readyAt);
 
-    if (bank.rowOpen && bank.openRow == row) {
+    if (bank.rowOpen && bank.openRow == p.row) {
         ++rowHits_;
     } else {
         ++rowMisses_;
@@ -77,13 +72,13 @@ Dram::serviceAccess(const MemRequest &req, Tick start)
         bank.activatedAt = t;
         ++numActivates_;
         bank.rowOpen = true;
-        bank.openRow = row;
+        bank.openRow = p.row;
     }
 
     // Column access plus burst transfer over the shared data bus.
     t += params_.tCAS;
     const Tick burst = std::max<Tick>(
-        1, Tick(double(req.size) / params_.busBytesPerCycle + 0.999));
+        1, Tick(double(p.req.size) / params_.busBytesPerCycle + 0.999));
     const Tick data_start = std::max(t, busFreeAt_);
     const Tick done = data_start + burst;
     busFreeAt_ = done;
@@ -104,12 +99,7 @@ Dram::pickNext(Tick now) const
     // FIFO MAS (the §VI-A ablation): strict arrival order, head-of-
     // line blocking and all — only the front may issue.
     if (params_.scheduler == DramParams::Scheduler::Fifo) {
-        for (std::size_t i = 0; i < queue_.size(); ++i) {
-            if (!queue_[i].issued) {
-                return queue_[i].arrived <= now ? int(i) : -1;
-            }
-        }
-        return -1;
+        return !queue_.empty() && queue_.front().arrived <= now ? 0 : -1;
     }
 
     // FR-FCFS: among requests whose bank can take a column command
@@ -118,14 +108,14 @@ Dram::pickNext(Tick now) const
     int oldest_ready = -1;
     for (std::size_t i = 0; i < queue_.size(); ++i) {
         const Pending &p = queue_[i];
-        if (p.issued || p.arrived > now) {
+        if (p.arrived > now) {
             continue;
         }
-        const Bank &bank = banks_[bankIndex(p.req.paddr)];
+        const Bank &bank = banks_[p.bank];
         if (bank.readyAt > now) {
             continue;
         }
-        if (bank.rowOpen && bank.openRow == rowIndex(p.req.paddr)) {
+        if (bank.rowOpen && bank.openRow == p.row) {
             return int(i); // First-ready row hit wins.
         }
         if (oldest_ready < 0) {
@@ -161,22 +151,22 @@ Dram::tick(Tick now)
     // Issue at most one command per controller cycle.
     const int idx = pickNext(now);
     if (idx >= 0) {
-        Pending &p = queue_[idx];
-        const Tick done = serviceAccess(p.req, now);
+        const Pending &p = queue_[idx];
+        const Tick done = serviceAccess(p, now);
         latency_.sample(done - p.arrived + params_.frontendLatency);
         recordTraffic(p.req, done);
-        completions_.push({done, p.req});
-        p.issued = true;
-        // Drop issued entries from the front to keep the queue short.
-        while (!queue_.empty() && queue_.front().issued) {
-            queue_.pop_front();
-        }
+        panic_if(!completions_.empty() && done <= completions_.back().at,
+                 "DRAM completion at %llu not after %llu",
+                 (unsigned long long)done,
+                 (unsigned long long)completions_.back().at);
+        completions_.push_back({done, p.req});
+        queue_.erase(queue_.begin() + idx);
     }
 
     // Deliver due responses.
-    while (!completions_.empty() && completions_.top().at <= now) {
-        const Completion c = completions_.top();
-        completions_.pop();
+    while (!completions_.empty() && completions_.front().at <= now) {
+        const Completion c = completions_.front();
+        completions_.pop_front();
         MemResponse resp;
         resp.req = c.req;
         resp.completed = now;
@@ -215,27 +205,17 @@ Dram::cycleClass(Tick now) const
 Tick
 Dram::nextWakeup(Tick) const
 {
-    Tick next = completions_.empty() ? maxTick : completions_.top().at;
+    Tick next = completions_.empty() ? maxTick : completions_.front().at;
     if (params_.scheduler == DramParams::Scheduler::Fifo) {
-        // Only the front unissued entry can issue; it waits solely on
-        // its arrival time (serviceAccess absorbs bank readiness).
-        for (const auto &p : queue_) {
-            if (!p.issued) {
-                next = std::min(next, p.arrived);
-                break;
-            }
-        }
-        return next;
+        // Only the front entry can issue; it waits solely on its
+        // arrival time (serviceAccess absorbs bank readiness).
+        return queue_.empty() ? next
+                              : std::min(next, queue_.front().arrived);
     }
     // FR-FCFS: an entry becomes issuable once it has arrived and its
     // bank can take a column command.
     for (const auto &p : queue_) {
-        if (p.issued) {
-            continue;
-        }
-        next = std::min(
-            next,
-            std::max(p.arrived, banks_[bankIndex(p.req.paddr)].readyAt));
+        next = std::min(next, std::max(p.arrived, banks_[p.bank].readyAt));
     }
     return next;
 }
@@ -245,7 +225,7 @@ Dram::accessAtomic(const MemRequest &req, Tick now,
                    std::array<Word, maxReqWords> &rdata)
 {
     const Tick start = now + params_.frontendLatency;
-    const Tick done = serviceAccess(req, start);
+    const Tick done = serviceAccess(decode(req, start), start);
     recordTraffic(req, done);
     latency_.sample(done - now);
     if (!req.timingOnly) {
@@ -269,17 +249,11 @@ Dram::save(checkpoint::Serializer &ser) const
     for (const auto &p : queue_) {
         saveRequest(ser, p.req);
         ser.putU64(p.arrived);
-        ser.putBool(p.issued);
     }
     ser.putU64(readsInFlight_);
     ser.putU64(writesInFlight_);
-    // Drain a copy of the completion heap in deterministic (sorted)
-    // order; re-pushing on restore rebuilds an equivalent heap.
-    auto completions = completions_;
-    ser.putU64(completions.size());
-    while (!completions.empty()) {
-        const Completion c = completions.top();
-        completions.pop();
+    ser.putU64(completions_.size());
+    for (const auto &c : completions_) {
         ser.putU64(c.at);
         saveRequest(ser, c.req);
     }
@@ -313,21 +287,16 @@ Dram::restore(checkpoint::Deserializer &des)
     queue_.clear();
     const std::uint64_t num_queued = des.getU64();
     for (std::uint64_t i = 0; i < num_queued; ++i) {
-        Pending p;
-        p.req = restoreRequest(des);
-        p.arrived = des.getU64();
-        p.issued = des.getBool();
-        queue_.push_back(p);
+        const MemRequest req = restoreRequest(des);
+        queue_.push_back(decode(req, des.getU64()));
     }
     readsInFlight_ = unsigned(des.getU64());
     writesInFlight_ = unsigned(des.getU64());
-    completions_ = {};
+    completions_.clear();
     const std::uint64_t num_completions = des.getU64();
     for (std::uint64_t i = 0; i < num_completions; ++i) {
-        Completion c;
-        c.at = des.getU64();
-        c.req = restoreRequest(des);
-        completions_.push(c);
+        const Tick at = des.getU64();
+        completions_.push_back({at, restoreRequest(des)});
     }
     checkpoint::getStat(des, numReads_);
     checkpoint::getStat(des, numWrites_);
@@ -358,17 +327,13 @@ Dram::DebugState
 Dram::debugState() const
 {
     DebugState state;
-    for (const auto &p : queue_) {
-        state.queued += !p.issued;
-    }
+    state.queued = queue_.size();
     state.completionsPending = completions_.size();
     state.readsInFlight = readsInFlight_;
     state.writesInFlight = writesInFlight_;
     state.busFreeAt = busFreeAt_;
     if (!queue_.empty()) {
-        const auto &front = queue_.front();
-        state.firstBankReadyAt =
-            banks_[bankIndex(front.req.paddr)].readyAt;
+        state.firstBankReadyAt = banks_[queue_.front().bank].readyAt;
     }
     return state;
 }

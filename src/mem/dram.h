@@ -19,7 +19,6 @@
 #define HWGC_MEM_DRAM_H
 
 #include <deque>
-#include <queue>
 #include <vector>
 
 #include "mem/mem_device.h"
@@ -133,28 +132,34 @@ class Dram : public MemDevice
         Tick activatedAt = 0;   //!< For tRAS accounting.
     };
 
+    /**
+     * An unissued request: entries leave the queue when they issue, so
+     * it holds at most maxReads + maxWrites of them, in arrival order.
+     */
     struct Pending
     {
         MemRequest req;
         Tick arrived = 0;       //!< When eligible for scheduling.
-        bool issued = false;
+        unsigned bank = 0;      //!< Decoded once, at arrival.
+        std::uint64_t row = 0;
     };
 
     struct Completion
     {
         Tick at;
         MemRequest req;
-        bool operator>(const Completion &o) const { return at > o.at; }
     };
 
-    unsigned bankIndex(Addr addr) const;
-    std::uint64_t rowIndex(Addr addr) const;
+    /** Decodes @p req's bank and row. */
+    Pending decode(const MemRequest &req, Tick arrived) const;
 
     /**
      * Computes the service completion time of an access starting no
-     * earlier than @p start, updating bank and bus state.
+     * earlier than @p start, updating bank and bus state. The shared
+     * data bus serialises bursts, so successive results strictly
+     * increase until resetBankState().
      */
-    Tick serviceAccess(const MemRequest &req, Tick start);
+    Tick serviceAccess(const Pending &p, Tick start);
 
     /** Picks the next queue index to issue, or -1 if none is ready. */
     int pickNext(Tick now) const;
@@ -167,11 +172,10 @@ class Dram : public MemDevice
     std::vector<Bank> banks_;
     Tick busFreeAt_ = 0;
 
-    std::deque<Pending> queue_;
+    std::vector<Pending> queue_;
     unsigned readsInFlight_ = 0;
     unsigned writesInFlight_ = 0;
-    std::priority_queue<Completion, std::vector<Completion>,
-                        std::greater<Completion>> completions_;
+    std::deque<Completion> completions_; //!< In issue (= `at`) order.
 
     stats::Scalar numReads_{"numReads"};
     stats::Scalar numWrites_{"numWrites"};

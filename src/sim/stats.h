@@ -11,6 +11,8 @@
 #ifndef HWGC_SIM_STATS_H
 #define HWGC_SIM_STATS_H
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <map>
 #include <ostream>
@@ -115,11 +117,9 @@ class Histogram
         if (v > max_) {
             max_ = v;
         }
-        unsigned b = 0;
-        while ((1ULL << (b + 1)) <= v + 1 && b + 1 < buckets_.size()) {
-            ++b;
-        }
-        ++buckets_[b];
+        // Bucket floor(log2(v + 1)), without wrapping v + 1 at the top.
+        ++buckets_[std::min<std::size_t>(std::bit_width(v - v / 2),
+                                         buckets_.size() - 1)];
     }
 
     void

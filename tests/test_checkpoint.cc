@@ -12,8 +12,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cctype>
-#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <memory>
@@ -26,6 +24,7 @@
 #include "sim/checkpoint.h"
 #include "sim/telemetry.h"
 #include "workload/graph_gen.h"
+#include "test_util.h"
 
 namespace hwgc
 {
@@ -86,35 +85,13 @@ tmpPath(const std::string &name)
         info->name() + "." + name;
 }
 
-/** See test_determinism.cc: strip registry instance digits so exports
- *  from different runs become directly comparable strings. */
-std::string
-normalizeInstanceIds(std::string s)
-{
-    for (const char *key :
-         {"system.hwgc", "system.cpu", "system.fleet"}) {
-        const std::size_t klen = std::strlen(key);
-        std::size_t pos = 0;
-        while ((pos = s.find(key, pos)) != std::string::npos) {
-            std::size_t digits = pos + klen;
-            std::size_t end = digits;
-            while (end < s.size() &&
-                   std::isdigit(static_cast<unsigned char>(s[end]))) {
-                ++end;
-            }
-            s.replace(digits, end - digits, "#");
-            pos = digits + 1;
-        }
-    }
-    return s;
-}
-
 std::string
 exportStats()
 {
     std::ostringstream os;
     telemetry::StatsRegistry::global().exportJson(os, {});
-    return normalizeInstanceIds(os.str());
+    return test::normalizeInstanceIds(
+        os.str(), {"system.hwgc", "system.cpu", "system.fleet"});
 }
 
 void
@@ -379,7 +356,7 @@ fleetTestTenants()
     std::vector<driver::TenantParams> tenants(3);
     for (unsigned t = 0; t < tenants.size(); ++t) {
         auto &tenant = tenants[t];
-        tenant.name = "t" + std::to_string(t);
+        tenant.name = std::string("t").append(std::to_string(t));
         tenant.graph = testGraph(700 + t, 300);
         tenant.gcPeriodCycles = 150'000;
         tenant.seed = 40 + t;
@@ -491,10 +468,11 @@ TEST(CheckpointDeathTest, RejectsWrongFormatVersion)
     Rig rig(testGraph(5, 64), HwgcConfig{});
     const std::string path = tmpPath("version.ckpt");
     const std::string valid = validImage(rig, path);
-    // A future version, and version 1 (the layout that still carried
-    // per-port bus occupancy words).
-    for (const std::uint32_t version :
-         {checkpoint::formatVersion + 1, std::uint32_t(1)}) {
+    // A future version, version 1 (the layout that still carried
+    // per-port bus occupancy words) and version 2 (the layout whose
+    // DRAM queue still carried issued entries).
+    for (const std::uint32_t version : {checkpoint::formatVersion + 1,
+                                        std::uint32_t(1), std::uint32_t(2)}) {
         SCOPED_TRACE("version " + std::to_string(version));
         std::string data = valid;
         for (int b = 0; b < 4; ++b) { // u32 version, little-endian.

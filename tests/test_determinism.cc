@@ -13,8 +13,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cctype>
-#include <cstring>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -22,6 +20,7 @@
 #include "driver/fleet.h"
 #include "driver/gc_lab.h"
 #include "sim/telemetry.h"
+#include "test_util.h"
 
 namespace hwgc
 {
@@ -107,33 +106,6 @@ TEST(Determinism, SharedCacheRunsAreReproducible)
 // same simulation, bit for bit.
 // ---------------------------------------------------------------------
 
-/**
- * StatsRegistry::uniquePrefix never reuses an instance number within a
- * process, so consecutive runs register as system.hwgc0, system.hwgc1,
- * ... Strip the instance digits so exports from different runs become
- * directly comparable strings.
- */
-std::string
-normalizeInstanceIds(std::string s)
-{
-    for (const char *key :
-         {"system.hwgc", "system.cpu", "system.fleet"}) {
-        const std::size_t klen = std::strlen(key);
-        std::size_t pos = 0;
-        while ((pos = s.find(key, pos)) != std::string::npos) {
-            std::size_t digits = pos + klen;
-            std::size_t end = digits;
-            while (end < s.size() &&
-                   std::isdigit(static_cast<unsigned char>(s[end]))) {
-                ++end;
-            }
-            s.replace(digits, end - digits, "#");
-            pos = digits + 1;
-        }
-    }
-    return s;
-}
-
 /** One full lab run folded down to everything that must match. */
 struct MatrixResult
 {
@@ -170,7 +142,8 @@ matrixRun(core::HwgcConfig config, KernelMode kernel)
     }
     std::ostringstream os;
     telemetry::StatsRegistry::global().exportJson(os, {});
-    r.statsJson = normalizeInstanceIds(os.str());
+    r.statsJson = test::normalizeInstanceIds(
+        os.str(), {"system.hwgc", "system.cpu", "system.fleet"});
     return r;
 }
 
@@ -271,7 +244,7 @@ fleetMatrixRun(KernelMode kernel)
     std::vector<driver::TenantParams> tenants(3);
     for (unsigned t = 0; t < tenants.size(); ++t) {
         auto &tenant = tenants[t];
-        tenant.name = "t" + std::to_string(t);
+        tenant.name = std::string("t").append(std::to_string(t));
         tenant.graph = workload::smokeProfile().graph;
         tenant.graph.seed = 500 + t;
         tenant.gcPeriodCycles = 150'000;
@@ -292,7 +265,8 @@ fleetMatrixRun(KernelMode kernel)
         }
         std::ostringstream os;
         telemetry::StatsRegistry::global().exportJson(os, {});
-        r.statsJson = normalizeInstanceIds(os.str());
+        r.statsJson = test::normalizeInstanceIds(
+            os.str(), {"system.hwgc", "system.cpu", "system.fleet"});
     } // Scoped: a live lab would leak its groups into later exports.
     return r;
 }

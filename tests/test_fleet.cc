@@ -11,7 +11,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cctype>
 #include <cstdio>
 #include <cstring>
 #include <sstream>
@@ -22,6 +21,7 @@
 #include "sim/logging.h"
 #include "sim/telemetry.h"
 #include "workload/dacapo.h"
+#include "test_util.h"
 
 namespace hwgc
 {
@@ -35,7 +35,7 @@ tinyTenants(unsigned n)
     std::vector<driver::TenantParams> tenants;
     for (unsigned t = 0; t < n; ++t) {
         driver::TenantParams p;
-        p.name = "t" + std::to_string(t);
+        p.name = std::string("t").append(std::to_string(t));
         p.graph = workload::smokeProfile().graph;
         p.graph.seed = 1000 + t;
         p.churnPerGC = 0.3;
@@ -67,27 +67,6 @@ tinyConfig(unsigned devices,
     return config;
 }
 
-/** Strips process-lifetime instance ids so exports compare equal. */
-std::string
-normalizeInstanceIds(std::string s)
-{
-    for (const char *key : {"system.hwgc", "system.fleet"}) {
-        const std::size_t klen = std::strlen(key);
-        std::size_t pos = 0;
-        while ((pos = s.find(key, pos)) != std::string::npos) {
-            std::size_t digits = pos + klen;
-            std::size_t end = digits;
-            while (end < s.size() &&
-                   std::isdigit(static_cast<unsigned char>(s[end]))) {
-                ++end;
-            }
-            s.replace(digits, end - digits, "#");
-            pos = digits + 1;
-        }
-    }
-    return s;
-}
-
 /** Everything a fleet run must reproduce bit-for-bit. */
 struct FleetSig
 {
@@ -117,7 +96,8 @@ signatureOf(driver::FleetLab &lab)
     }
     std::ostringstream os;
     telemetry::StatsRegistry::global().exportJson(os, {});
-    sig.statsJson = normalizeInstanceIds(os.str());
+    sig.statsJson = test::normalizeInstanceIds(
+        os.str(), {"system.hwgc", "system.fleet"});
     return sig;
 }
 

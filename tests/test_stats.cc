@@ -59,6 +59,10 @@ TEST(Histogram, LargeSamplesSaturateTheLastBucket)
     EXPECT_EQ(h.buckets()[2], 1u);
     EXPECT_EQ(h.buckets()[3], 2u);
     EXPECT_EQ(h.maxValue(), 1'000'000u);
+    h.sample(UINT64_MAX); // v + 1 wraps to 0: must not land in bucket 0.
+    EXPECT_EQ(h.buckets()[0], 0u);
+    EXPECT_EQ(h.buckets()[3], 3u);
+    EXPECT_EQ(h.maxValue(), UINT64_MAX);
 }
 
 TEST(Histogram, ResetClearsEverything)
