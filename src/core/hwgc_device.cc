@@ -251,6 +251,16 @@ HwgcDevice::HwgcDevice(mem::PhysMem &mem,
         sys_->declareWakeupInputs(sweeper.get(), {ptw_.get()});
         sys_->declareWakeupInputs(reclamation_.get(), {sweeper.get()});
     }
+    // Profiler class inputs beyond the wakeup inputs: an idle
+    // sweeper classes itself as starved while upstream_->busy(), i.e.
+    // while the reclamation unit is not done(), which reads every
+    // sweeper's drained().
+    for (auto &sweeper : reclamation_->sweepers()) {
+        sys_->declareClassInputs(sweeper.get(), {reclamation_.get()});
+        for (auto &other : reclamation_->sweepers()) {
+            sys_->declareClassInputs(sweeper.get(), {other.get()});
+        }
+    }
     sys_->declareWakeupInputs(markQueue_.get(), {});
     sys_->declareWakeupInputs(ptw_.get(), {});
     if (sharedCache_) {

@@ -82,6 +82,7 @@ class MarkQueue : public Clocked, public mem::MemResponder
     bool busy() const override;
     Tick nextWakeup(Tick now) const override;
     CycleClass cycleClass(Tick now) const override;
+    Tick classHorizon(Tick) const override { return maxTick; }
     void save(checkpoint::Serializer &ser) const override;
     void restore(checkpoint::Deserializer &des) override;
 

@@ -130,6 +130,7 @@ class Marker : public Clocked, public mem::MemResponder
     bool busy() const override { return !idle(); }
     Tick nextWakeup(Tick now) const override;
     CycleClass cycleClass(Tick now) const override;
+    Tick classHorizon(Tick) const override { return maxTick; }
     void fastForward(Tick from, Tick to) override;
     void save(checkpoint::Serializer &ser) const override;
     void restore(checkpoint::Deserializer &des) override;

@@ -50,6 +50,7 @@ class RootReader : public Clocked, public mem::MemResponder
     bool busy() const override { return !done(); }
     Tick nextWakeup(Tick now) const override;
     CycleClass cycleClass(Tick now) const override;
+    Tick classHorizon(Tick) const override { return maxTick; }
     void save(checkpoint::Serializer &ser) const override;
     void restore(checkpoint::Deserializer &des) override;
 

@@ -156,6 +156,11 @@ FleetLab::FleetLab(const FleetConfig &config,
     if (watchdog > 0.0) {
         sys_.setWatchdog(watchdog);
     }
+    if (telemetry::options().profile) {
+        // Fleet devices share one System and attach no profiler.
+        warn("--profile is not supported in fleet mode: no cycle "
+             "attribution is recorded for this fleet");
+    }
 }
 
 FleetLab::~FleetLab()

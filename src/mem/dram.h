@@ -77,6 +77,7 @@ class Dram : public MemDevice
     bool busy() const override;
     Tick nextWakeup(Tick now) const override;
     CycleClass cycleClass(Tick now) const override;
+    Tick classHorizon(Tick) const override { return maxTick; }
     void save(checkpoint::Serializer &ser) const override;
     void restore(checkpoint::Deserializer &des) override;
 

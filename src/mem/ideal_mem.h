@@ -74,6 +74,8 @@ class IdealMem : public MemDevice
         return busy() ? CycleClass::Busy : CycleClass::Idle;
     }
 
+    Tick classHorizon(Tick) const override { return maxTick; }
+
     /** @name Statistics @{ */
     const stats::Scalar &numRequests() const { return numRequests_; }
     const stats::Scalar &bytesMoved() const { return bytesMoved_; }

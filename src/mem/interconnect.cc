@@ -269,6 +269,23 @@ Interconnect::cycleClass(Tick now) const
     return CycleClass::Busy; // Traffic moving through the hops.
 }
 
+Tick
+Interconnect::classHorizon(Tick now) const
+{
+    // A head still in the request-latency hops counts as moving
+    // traffic; once ready in front of a full DRAM (or an empty token
+    // bucket) it is a stall. That flip needs no tick of ours — the
+    // kernel may not tick a blocked bus — so the class holds only
+    // until the earliest such head arrives.
+    Tick horizon = maxTick;
+    for (const auto &port : ports_) {
+        if (!port.requests.empty() && port.requests.front().readyAt > now) {
+            horizon = std::min(horizon, port.requests.front().readyAt);
+        }
+    }
+    return horizon;
+}
+
 void
 Interconnect::fastForward(Tick from, Tick to)
 {

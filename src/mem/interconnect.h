@@ -109,6 +109,7 @@ class Interconnect : public Clocked, public MemResponder
     bool busy() const override;
     Tick nextWakeup(Tick now) const override;
     CycleClass cycleClass(Tick now) const override;
+    Tick classHorizon(Tick now) const override;
     void fastForward(Tick from, Tick to) override;
     void save(checkpoint::Serializer &ser) const override;
     void restore(checkpoint::Deserializer &des) override;

@@ -76,6 +76,7 @@ class TimedCache : public Clocked, public MemResponder
     bool busy() const override;
     Tick nextWakeup(Tick now) const override;
     CycleClass cycleClass(Tick now) const override;
+    Tick classHorizon(Tick) const override { return maxTick; }
     void save(checkpoint::Serializer &ser) const override;
     void restore(checkpoint::Deserializer &des) override;
 

@@ -69,10 +69,10 @@ System::restore(checkpoint::Deserializer &des)
                  index, components_.size());
         scheduled_.push({at, index});
     }
-    // Every cached wakeup is stale; the run entry points also set
-    // this, but restoring directly into a paused System must not
-    // depend on that.
-    dirty_ = ~std::uint64_t(0);
+    // Every cached wakeup and profiler class is stale; the run entry
+    // points also set this, but restoring directly into a paused
+    // System must not depend on that.
+    invalidateAll();
     std::fill(wake_.begin(), wake_.end(), maxTick);
 }
 

@@ -170,6 +170,28 @@ class Clocked
     }
 
     /**
+     * Time bound of the profiler's class cache (DESIGN.md §10): the
+     * earliest cycle after @p now at which cycleClass() might return
+     * something other than cycleClass(@p now) although neither this
+     * component nor any of its class inputs (its declared wakeup
+     * inputs and System::declareClassInputs) was ticked or poked in
+     * between. The profiler reuses a class until that cycle and
+     * reclassifies on the first observation at or past it. Call only
+     * right after cycleClass(@p now), on the same state.
+     *
+     * The default is conservative — reclassify at every observation —
+     * so a component nobody has audited stays exact. A component
+     * whose class is a pure function of its own state and its class
+     * inputs' returns maxTick; one whose class also moves with the
+     * clock returns the first cycle at which it can.
+     */
+    virtual Tick
+    classHorizon(Tick now) const
+    {
+        return now + 1;
+    }
+
+    /**
      * Notification that the event kernel let cycles [from, to) elapse
      * without ticking this component (either a fast-forwarded gap or
      * a single executed cycle on which this component was not due).
@@ -258,6 +280,7 @@ class System
         components_.push_back(c);
         wake_.push_back(maxTick);
         succ_.push_back(0);
+        classSucc_.push_back(0);
     }
 
     /**
@@ -283,14 +306,53 @@ class System
             panic_if(src == nullptr || src->system_ != this,
                      "wakeup input not registered");
             succ_[src->sysIndex_] |= std::uint64_t(1) << dst->sysIndex_;
+            classSucc_[src->sysIndex_] |= std::uint64_t(1)
+                << dst->sysIndex_;
         }
     }
+
+    /**
+     * Declares cross-reads that only @p dst's cycleClass() makes: the
+     * profiler reclassifies @p dst whenever one of @p srcs is ticked
+     * or poked. Declared wakeup inputs are class inputs already; this
+     * adds the rest and leaves the event kernel's schedule untouched.
+     */
+    void
+    declareClassInputs(Clocked *dst, std::initializer_list<Clocked *> srcs)
+    {
+        panic_if(dst == nullptr || dst->system_ != this,
+                 "declareClassInputs for unregistered component");
+        for (Clocked *src : srcs) {
+            panic_if(src == nullptr || src->system_ != this,
+                     "class input not registered");
+            classSucc_[src->sysIndex_] |= std::uint64_t(1)
+                << dst->sysIndex_;
+        }
+    }
+
+    /** Components whose class reads component @p i's state (bit j set:
+     *  component j), from declareWakeupInputs + declareClassInputs. */
+    std::uint64_t classDependents(std::size_t i) const
+    {
+        return classSucc_[i];
+    }
+
+    /**
+     * Components ticked or poked since the last observer callback
+     * (bit i: component i). All ones at every run entry and after
+     * restore(), when any state may have been rewritten off the
+     * clock. Only the event kernel maintains it; under the dense
+     * kernel every component ticks every cycle.
+     */
+    std::uint64_t touched() const { return touched_; }
 
     /** Invalidates @p c's cached wakeup (see Clocked::pokeWakeup). */
     void
     poke(const Clocked &c)
     {
-        dirty_ |= std::uint64_t(1) << c.sysIndex_;
+        const std::uint64_t bit = std::uint64_t(1) << c.sysIndex_;
+        dirty_ |= bit;
+        touched_ |= bit;
     }
 
     /** Selects the kernel (callers may switch between runs). */
@@ -410,7 +472,7 @@ class System
         }
         // Anything may have been reconfigured between runs (phase
         // starts, resets): every cached wakeup is stale.
-        dirty_ = ~std::uint64_t(0);
+        invalidateAll();
         watchdogArm();
         return mode_ == KernelMode::Dense ? runUntilIdleDense(limit)
                                           : runUntilIdleEvent(limit);
@@ -430,7 +492,7 @@ class System
                 }
             }
         } else {
-            dirty_ = ~std::uint64_t(0);
+            invalidateAll();
             runEvent(limit);
         }
     }
@@ -466,7 +528,7 @@ class System
         if (!anyBusy()) {
             return StopReason::Idle;
         }
-        dirty_ = ~std::uint64_t(0);
+        invalidateAll();
         watchdogArm();
         if (mode_ == KernelMode::Dense) {
             while (now_ < limit) {
@@ -516,6 +578,14 @@ class System
     void restore(checkpoint::Deserializer &des);
 
   private:
+    /** Marks every wakeup cache stale and every component touched. */
+    void
+    invalidateAll()
+    {
+        dirty_ = ~std::uint64_t(0);
+        touched_ = ~std::uint64_t(0);
+    }
+
     Tick
     saturatingLimit(Tick cycles) const
     {
@@ -612,11 +682,13 @@ class System
                 next = std::min(next, w);
             }
         }
+        touched_ |= tickedMask;
         const Tick cycle = now_;
         ++now_;
         ++executedCycles_;
         if (observer_ != nullptr) {
             observer_->cycleExecuted(cycle, tickedMask);
+            touched_ = 0;
         }
         if (!scheduled_.empty()) {
             next = std::min(next, scheduled_.top().first);
@@ -660,6 +732,7 @@ class System
         }
         if (observer_ != nullptr) {
             observer_->fastForwarded(now_, target);
+            touched_ = 0;
         }
         now_ = target;
     }
@@ -747,6 +820,8 @@ class System
     std::uint64_t dueMask_ = 0; //!< Scheduled-wakeup due components.
     std::uint64_t declared_ = 0; //!< Components with declared inputs.
     std::uint64_t dirty_ = ~std::uint64_t(0); //!< Stale wakeup caches.
+    std::vector<std::uint64_t> classSucc_; //!< Per-src class dependents.
+    std::uint64_t touched_ = ~std::uint64_t(0); //!< See touched().
     double watchdogSecs_ = 0; //!< Progress watchdog limit (0 = off).
     std::function<void()> watchdogReporter_; //!< Pre-abort dump hook.
     std::chrono::steady_clock::time_point watchdogStart_;

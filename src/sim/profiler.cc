@@ -31,13 +31,18 @@ CycleProfiler::CycleProfiler(System &system, std::string stats_prefix)
     const auto labels = classLabels();
     // reserve() up front: the registry and each group hold pointers
     // into the elements, so the vectors must never reallocate.
-    comps_.reserve(system_.components().size());
+    const std::size_t n = system_.components().size();
+    comps_.reserve(n);
+    spans_.reserve(n);
+    registered_ = n >= 64 ? ~std::uint64_t(0)
+                          : (std::uint64_t(1) << n) - 1;
     for (const Clocked *c : system_.components()) {
+        spans_.push_back(Span{c});
         comps_.emplace_back();
         auto &pc = comps_.back();
-        pc.clocked = c;
         pc.total = stats::Vector("total", labels);
         pc.group.add(&pc.total);
+        pc.group.setBeforeRead([this] { flush(); });
         pc.registryPath =
             registry.add(prefix_ + ".profile." + c->name(), &pc.group);
     }
@@ -45,6 +50,7 @@ CycleProfiler::CycleProfiler(System &system, std::string stats_prefix)
 
 CycleProfiler::~CycleProfiler()
 {
+    // remove() renders each group's final values, through flush().
     auto &registry = StatsRegistry::global();
     for (const auto &pc : comps_) {
         registry.remove(pc.registryPath);
@@ -52,22 +58,70 @@ CycleProfiler::~CycleProfiler()
 }
 
 void
-CycleProfiler::accrue(Tick now, std::uint64_t weight)
+CycleProfiler::closeSpan(std::size_t i)
 {
-    observed_ += weight;
-    for (auto &pc : comps_) {
-        const auto cls = std::size_t(pc.clocked->cycleClass(now));
-        pc.total.add(cls, weight);
-        if (currentPhase_ >= 0) {
-            pc.phase[std::size_t(currentPhase_)]->add(cls, weight);
+    Span &span = spans_[i];
+    const std::uint64_t n = observed_ - span.since;
+    if (n == 0) {
+        return;
+    }
+    const auto cls = std::size_t(span.cls);
+    comps_[i].total.add(cls, n);
+    if (currentPhase_ >= 0) {
+        comps_[i].phase[std::size_t(currentPhase_)]->add(cls, n);
+    }
+    span.since = observed_;
+}
+
+void
+CycleProfiler::flush()
+{
+    for (std::size_t i = 0; i < spans_.size(); ++i) {
+        closeSpan(i);
+    }
+}
+
+void
+CycleProfiler::observe(Tick now, std::uint64_t weight)
+{
+    // Reclassify what was touched, what reads touched state, and what
+    // outlived its class horizon; every other class stands. The dense
+    // kernel ticks everything, so it reclassifies everything.
+    const std::uint64_t touched = system_.mode() == KernelMode::Dense
+        ? registered_
+        : system_.touched() & registered_;
+    std::uint64_t due = touched;
+    for (std::uint64_t t = touched; t != 0; t &= t - 1) {
+        due |= system_.classDependents(std::size_t(__builtin_ctzll(t)));
+    }
+    if (now >= nextHorizon_) { // Else no horizon can have passed.
+        nextHorizon_ = maxTick;
+        for (std::size_t i = 0; i < spans_.size(); ++i) {
+            if (spans_[i].horizon <= now) {
+                due |= std::uint64_t(1) << i;
+            } else {
+                nextHorizon_ = std::min(nextHorizon_, spans_[i].horizon);
+            }
         }
     }
+    for (due &= registered_; due != 0; due &= due - 1) {
+        const auto i = std::size_t(__builtin_ctzll(due));
+        Span &span = spans_[i];
+        const CycleClass cls = span.clocked->cycleClass(now);
+        span.horizon = span.clocked->classHorizon(now);
+        nextHorizon_ = std::min(nextHorizon_, span.horizon);
+        if (cls != span.cls) {
+            closeSpan(i);
+            span.cls = cls;
+        }
+    }
+    observed_ += weight;
 }
 
 void
 CycleProfiler::cycleExecuted(Tick now, std::uint64_t active_mask)
 {
-    accrue(now, 1);
+    observe(now, 1);
     if (chain_ != nullptr) {
         chain_->cycleExecuted(now, active_mask);
     }
@@ -79,7 +133,7 @@ CycleProfiler::fastForwarded(Tick from, Tick to)
     // Component state is frozen across the gap (nothing ticked), so
     // one classification at the gap start, weighted by its width, is
     // exactly what per-cycle classification would have produced.
-    accrue(from, to - from);
+    observe(from, to - from);
     if (chain_ != nullptr) {
         chain_->fastForwarded(from, to);
     }
@@ -88,6 +142,7 @@ CycleProfiler::fastForwarded(Tick from, Tick to)
 void
 CycleProfiler::beginPhase(const std::string &name)
 {
+    flush(); // Spans so far belong to the previous phase (if any).
     int idx = phaseIndex(name);
     if (idx < 0) {
         // First time this phase runs: give every component a vector.
@@ -122,6 +177,7 @@ CycleProfiler::endPhase()
     if (currentPhase_ < 0) {
         return;
     }
+    flush();
     auto &tw = TraceWriter::global();
     if (tw.enabled()) {
         for (std::size_t c = 0; c < numCycleClasses; ++c) {
@@ -137,19 +193,31 @@ CycleProfiler::endPhase()
 const std::string &
 CycleProfiler::componentName(std::size_t i) const
 {
-    return comps_.at(i).clocked->name();
+    return spans_.at(i).clocked->name();
+}
+
+std::uint64_t
+CycleProfiler::value(std::size_t i, int phase_idx, CycleClass c) const
+{
+    const PerComponent &pc = comps_.at(i);
+    const stats::Vector &v =
+        phase_idx < 0 ? pc.total : *pc.phase[std::size_t(phase_idx)];
+    const Span &span = spans_[i];
+    const bool open = span.cls == c &&
+        (phase_idx < 0 || phase_idx == currentPhase_);
+    return v.value(std::size_t(c)) + (open ? observed_ - span.since : 0);
 }
 
 std::uint64_t
 CycleProfiler::cycles(std::size_t i, CycleClass c) const
 {
-    return comps_.at(i).total.value(std::size_t(c));
+    return value(i, -1, c);
 }
 
 std::uint64_t
 CycleProfiler::accounted(std::size_t i) const
 {
-    return comps_.at(i).total.total();
+    return comps_.at(i).total.total() + (observed_ - spans_.at(i).since);
 }
 
 std::uint64_t
@@ -183,10 +251,8 @@ std::uint64_t
 CycleProfiler::aggregateIn(int phase_idx, CycleClass c) const
 {
     std::uint64_t sum = 0;
-    for (const auto &pc : comps_) {
-        const stats::Vector &v =
-            phase_idx < 0 ? pc.total : *pc.phase[std::size_t(phase_idx)];
-        sum += v.value(std::size_t(c));
+    for (std::size_t i = 0; i < comps_.size(); ++i) {
+        sum += value(i, phase_idx, c);
     }
     return sum;
 }
@@ -273,22 +339,16 @@ CycleProfiler::report(std::FILE *out, std::size_t top_n) const
         std::fprintf(out, "  [%s]\n",
                      p < 0 ? "run total" : phaseNames_[p].c_str());
         std::uint64_t agg[numCycleClasses] = {};
-        for (const auto &pc : comps_) {
-            const stats::Vector &v =
-                p < 0 ? pc.total : *pc.phase[std::size_t(p)];
-            for (std::size_t c = 0; c < numCycleClasses; ++c) {
-                agg[c] += v.value(c);
-            }
+        for (std::size_t c = 0; c < numCycleClasses; ++c) {
+            agg[c] = aggregateIn(p, CycleClass(c));
         }
         printLine("(aggregated)", agg);
-        for (const auto &pc : comps_) {
-            const stats::Vector &v =
-                p < 0 ? pc.total : *pc.phase[std::size_t(p)];
+        for (std::size_t i = 0; i < comps_.size(); ++i) {
             std::uint64_t row[numCycleClasses];
             for (std::size_t c = 0; c < numCycleClasses; ++c) {
-                row[c] = v.value(c);
+                row[c] = value(i, p, CycleClass(c));
             }
-            printLine(pc.clocked->name(), row);
+            printLine(componentName(i), row);
         }
     }
 }

@@ -2,19 +2,27 @@
  * @file
  * Top-down cycle-accounting profiler (DESIGN.md §10).
  *
- * A CycleProfiler is a KernelObserver that, for every cycle the
- * kernel executes or fast-forwards over, asks each registered
- * component to classify where that cycle went
- * (Clocked::cycleClass()) and accrues the answer into per-component
- * stats::Vectors — one for the whole run plus one per GC phase. The
- * accounting identity
+ * A CycleProfiler is a KernelObserver that attributes every cycle the
+ * kernel executes or fast-forwards over to one class per registered
+ * component (Clocked::cycleClass()) and accrues the answer into
+ * per-component stats::Vectors — one for the whole run plus one per
+ * GC phase. The accounting identity
  *
  *     busy + Σ stalls + idle == observed cycles
  *
  * holds per component by construction: every observed cycle is
- * classified exactly once (fast-forward gaps classify once at the gap
+ * attributed exactly once (fast-forward gaps classify once at the gap
  * start and weight by the gap width, which is exact because component
  * state is frozen across a gap).
+ *
+ * The cost follows activity, not time. A component's class can only
+ * change when it or one of its class inputs is ticked or poked
+ * (System::touched(), System::classDependents()) or when its
+ * Clocked::classHorizon() passes; on every other observation its
+ * class is unchanged, so the profiler holds it as an open span
+ * (class, start) and writes the vectors only when the class changes,
+ * at phase boundaries, and before any read. The result is the same
+ * as classifying every component on every observation.
  *
  * Everything here is observational. Classification reads const state
  * only, the accrued vectors live outside save()/restore() and the
@@ -119,9 +127,10 @@ class CycleProfiler : public KernelObserver
     /** @} */
 
   private:
+    /** A component's stats, registered under
+     *  "<prefix>.profile.<component>". */
     struct PerComponent
     {
-        const Clocked *clocked;
         stats::Group group{"profile"};
         stats::Vector total;
         /** One vector per entry of phaseNames_, same order. Owned
@@ -130,8 +139,35 @@ class CycleProfiler : public KernelObserver
         std::string registryPath;
     };
 
-    /** Classifies every component once and accrues @p weight. */
-    void accrue(Tick now, std::uint64_t weight);
+    /** A component's open span: class @c cls since observed cycle
+     *  @c since. Kept apart from the stats so that the per-observation
+     *  loop reads only these few bytes per component. */
+    struct Span
+    {
+        const Clocked *clocked;
+        /** First observation time at which @c cls may be stale
+         *  (Clocked::classHorizon); 0 until first classified. */
+        Tick horizon = 0;
+        std::uint64_t since = 0;
+        CycleClass cls = CycleClass::Idle;
+    };
+
+    /** Attributes one observation of @p weight cycles at @p now. */
+    void observe(Tick now, std::uint64_t weight);
+
+    /** Closes every open span into the stats vectors. Runs before
+     *  every registry read of the profile groups (their before-read
+     *  hook) and at phase boundaries; the public accessors add the
+     *  open spans themselves. */
+    void flush();
+
+    /** Adds component @p i's open span to its vectors and restarts
+     *  the span. */
+    void closeSpan(std::size_t i);
+
+    /** Cycles of class @p c for component @p i in phase @p phase_idx
+     *  (-1 = whole run), open span included. */
+    std::uint64_t value(std::size_t i, int phase_idx, CycleClass c) const;
 
     /** aggregate() over phase @p phase_idx (-1 = whole run). */
     std::uint64_t aggregateIn(int phase_idx, CycleClass c) const;
@@ -141,6 +177,9 @@ class CycleProfiler : public KernelObserver
     System &system_;
     std::string prefix_;
     std::vector<PerComponent> comps_;
+    std::vector<Span> spans_; //!< Same order as comps_.
+    Tick nextHorizon_ = 0; //!< At most every spans_[i].horizon.
+    std::uint64_t registered_ = 0; //!< One bit per entry of comps_.
     std::vector<std::string> phaseNames_;
     int currentPhase_ = -1; //!< Index into phaseNames_, -1 = none.
     std::uint64_t observed_ = 0;

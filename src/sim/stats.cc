@@ -14,6 +14,7 @@ namespace hwgc::stats
 void
 Group::dump(std::ostream &os) const
 {
+    prepareRead();
     os << "---------- " << name_ << " ----------\n";
     for (const auto *s : scalars_) {
         os << std::left << std::setw(40) << s->name() << " "

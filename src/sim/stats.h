@@ -14,9 +14,11 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/logging.h"
@@ -225,6 +227,25 @@ class Group
 
     const std::string &name() const { return name_; }
 
+    /**
+     * Installs @p fn to run before every read of this group's values
+     * (dump() and the registry's JSON rendering), for owners that
+     * accrue lazily and must settle their stats first.
+     */
+    void setBeforeRead(std::function<void()> fn)
+    {
+        beforeRead_ = std::move(fn);
+    }
+
+    /** Runs the before-read hook, if any (see setBeforeRead). */
+    void
+    prepareRead() const
+    {
+        if (beforeRead_) {
+            beforeRead_();
+        }
+    }
+
     /** @name Introspection (telemetry exporters) @{ */
     const std::vector<const Scalar *> &scalars() const { return scalars_; }
     const std::vector<const Vector *> &vectors() const { return vectors_; }
@@ -244,6 +265,7 @@ class Group
     std::vector<const Vector *> vectors_;
     std::vector<const Histogram *> histograms_;
     std::vector<const TimeSeries *> timeSeries_;
+    std::function<void()> beforeRead_;
 };
 
 } // namespace hwgc::stats

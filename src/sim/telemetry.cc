@@ -124,6 +124,7 @@ jsonNumber(double v)
 std::string
 renderGroupJson(const stats::Group &group)
 {
+    group.prepareRead();
     std::ostringstream os;
     os << "{";
 

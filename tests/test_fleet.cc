@@ -239,6 +239,24 @@ TEST(Fleet, QueueCyclesAppearWhenDevicesAreScarce)
     EXPECT_GT(queued, 0u);
 }
 
+TEST(Fleet, ProfileOptionWarnsOncePerFleet)
+{
+    // Fleet devices attach no profiler; --profile must say so rather
+    // than export nothing in silence.
+    const telemetry::Options saved = telemetry::options();
+    telemetry::options().profile = true;
+    ::testing::internal::CaptureStderr();
+    {
+        driver::FleetLab lab(tinyConfig(2), tinyTenants(2));
+    }
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    telemetry::options() = saved;
+    const std::string needle = "--profile is not supported in fleet mode";
+    const std::size_t first = err.find(needle);
+    ASSERT_NE(first, std::string::npos) << err;
+    EXPECT_EQ(err.find(needle, first + 1), std::string::npos) << err;
+}
+
 TEST(FleetDeathTest, RejectsZeroDevicesAndZeroTenants)
 {
     EXPECT_DEATH(driver::FleetLab(tinyConfig(0), tinyTenants(1)),

@@ -4,7 +4,7 @@
  *
  *  1. The accounting identity `busy + Σstalls + idle == observed
  *     cycles` holds for every component on every modeled
- *     configuration of the determinism matrix, under all three
+ *     configuration of the determinism matrix, under both
  *     kernels — classification is a pure function of architectural
  *     state, so no kernel can over- or under-count.
  *  2. Profiling is observational: a profiled run is bit-identical to
@@ -14,18 +14,25 @@
  *     stall class to the matching cause.
  *  4. The progress watchdog dumps diagnostics and aborts instead of
  *     hanging when a run exceeds its host-time budget.
+ *
+ * (1) also runs the profiler in lockstep with a reference that
+ * classifies every component on every observation, and checks that
+ * stats exports and retired groups include the profiler's open spans.
  */
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <sstream>
 #include <string>
 
 #include "driver/gc_lab.h"
+#include "ref_profiler.h"
 #include "sim/cycle_class.h"
 #include "sim/profiler.h"
 #include "sim/telemetry.h"
 #include "test_util.h"
+#include "workload/graph_gen.h"
 
 namespace hwgc
 {
@@ -39,18 +46,26 @@ struct OptionsGuard
     ~OptionsGuard() { telemetry::options() = saved; }
 };
 
-/** Runs the smoke profile with the profiler attached and returns the
- *  lab so the caller can interrogate the profiler before teardown. */
+/** A smoke-profile lab for @p config, HW collector only, not run. */
 std::unique_ptr<driver::GcLab>
-profiledRun(core::HwgcConfig config,
-            workload::BenchmarkProfile profile = workload::smokeProfile())
+makeLab(core::HwgcConfig config,
+        workload::BenchmarkProfile profile = workload::smokeProfile())
 {
     driver::LabConfig lab_config;
     lab_config.runSw = false;
     lab_config.hwgc = config;
     lab_config.heap.layout = config.layout;
     telemetry::StatsRegistry::global().clearRetired();
-    auto lab = std::make_unique<driver::GcLab>(profile, lab_config);
+    return std::make_unique<driver::GcLab>(profile, lab_config);
+}
+
+/** Runs the smoke profile with the profiler attached and returns the
+ *  lab so the caller can interrogate the profiler before teardown. */
+std::unique_ptr<driver::GcLab>
+profiledRun(core::HwgcConfig config,
+            workload::BenchmarkProfile profile = workload::smokeProfile())
+{
+    auto lab = makeLab(config, std::move(profile));
     lab->run();
     return lab;
 }
@@ -127,6 +142,193 @@ TEST(ProfilerIdentity, TibLayout)
     core::HwgcConfig config;
     config.layout = runtime::Layout::Tib;
     expectIdentityHolds(config);
+}
+
+// ---------------------------------------------------------------------
+// (1b) Lockstep with the reference profiler: the activity-driven
+//      profiler attributes exactly what classifying every component on
+//      every observation does, after every phase and every pause.
+// ---------------------------------------------------------------------
+
+void
+expectLockstep(core::HwgcConfig config)
+{
+    OptionsGuard guard;
+    telemetry::options().profile = true;
+    for (const KernelMode kernel : {KernelMode::Dense, KernelMode::Event}) {
+        SCOPED_TRACE(kernelModeName(kernel));
+        config.kernel = kernel;
+        const auto lab = makeLab(config);
+        test::RefProfiler ref(lab->device());
+        for (unsigned p = 0; p < lab->profile().numGCs; ++p) {
+            SCOPED_TRACE("pause " + std::to_string(p));
+            lab->run(1);
+            ref.expectMatch();
+        }
+        EXPECT_GT(ref.observed(), 0u);
+    }
+}
+
+TEST(ProfilerLockstep, BaselineDdr3)
+{
+    expectLockstep(core::HwgcConfig{});
+}
+
+TEST(ProfilerLockstep, SharedCache)
+{
+    core::HwgcConfig config;
+    config.sharedCache = true;
+    expectLockstep(config);
+}
+
+TEST(ProfilerLockstep, IdealMemory)
+{
+    core::HwgcConfig config;
+    config.memModel = core::MemModel::Ideal;
+    expectLockstep(config);
+}
+
+TEST(ProfilerLockstep, SpillPressure)
+{
+    core::HwgcConfig config;
+    config.markQueueEntries = 32;
+    expectLockstep(config);
+}
+
+TEST(ProfilerLockstep, BandwidthThrottle)
+{
+    core::HwgcConfig config;
+    config.bus.throttleBytesPerCycle = 1.0;
+    expectLockstep(config);
+}
+
+TEST(ProfilerLockstep, TibLayout)
+{
+    core::HwgcConfig config;
+    config.layout = runtime::Layout::Tib;
+    expectLockstep(config);
+}
+
+TEST(ProfilerLockstep, CoupledTracer)
+{
+    core::HwgcConfig config;
+    config.decoupledTracer = false;
+    expectLockstep(config);
+}
+
+// ---------------------------------------------------------------------
+// (1c) Every read path sees the open spans: a stats export taken
+//      mid-phase, and the values a device retires when it dies
+//      mid-phase, satisfy the identity.
+// ---------------------------------------------------------------------
+
+/** A heap with a device configured on it, mid-mark at cycle @p at. */
+struct MidMarkRig
+{
+    explicit MidMarkRig(Tick at) : heap(mem), builder(heap, graph())
+    {
+        builder.build();
+        heap.clearAllMarks();
+        heap.publishRoots();
+        device = std::make_unique<core::HwgcDevice>(
+            mem, heap.pageTable(), core::HwgcConfig{});
+        device->configure(heap);
+        device->startMark();
+        device->profiler()->beginPhase("mark");
+        stop = device->system().runUntilIdleStop(at);
+    }
+
+    static workload::GraphParams
+    graph()
+    {
+        workload::GraphParams p;
+        p.liveObjects = 900;
+        p.garbageObjects = 450;
+        p.numRoots = 8;
+        p.seed = 7;
+        return p;
+    }
+
+    mem::PhysMem mem;
+    runtime::Heap heap;
+    workload::GraphBuilder builder;
+    std::unique_ptr<core::HwgcDevice> device;
+    System::StopReason stop;
+};
+
+/**
+ * Reads every "<prefix>.profile.<component>" group back from a stats
+ * JSON export and returns the sum of its vector @p vec per group.
+ */
+std::map<std::string, std::uint64_t>
+exportedProfileSums(const std::string &prefix, const std::string &vec)
+{
+    std::ostringstream os;
+    telemetry::StatsRegistry::global().exportJson(os, {});
+    std::istringstream in(os.str());
+    const std::string key = "\"" + prefix + ".profile.";
+    const std::string vec_key = "\"" + vec + "\": {\"labels\": {";
+    const std::string sum_key = "}, \"total\": ";
+    std::map<std::string, std::uint64_t> sums;
+    std::string line;
+    while (std::getline(in, line)) {
+        const std::size_t at = line.find(key);
+        if (at == std::string::npos) {
+            continue;
+        }
+        const std::string path =
+            line.substr(at + 1, line.find('"', at + 1) - at - 1);
+        const std::size_t v = line.find(vec_key);
+        if (v == std::string::npos) {
+            ADD_FAILURE() << path << " has no vector " << vec;
+            continue;
+        }
+        const std::size_t sum = line.find(sum_key, v);
+        sums[path] = std::stoull(line.substr(sum + sum_key.size()));
+    }
+    return sums;
+}
+
+TEST(ProfilerReadPaths, MidMarkExportIncludesOpenSpans)
+{
+    OptionsGuard guard;
+    telemetry::options().profile = true;
+    telemetry::StatsRegistry::global().clearRetired();
+    MidMarkRig rig(400);
+    ASSERT_EQ(rig.stop, System::StopReason::Stopped);
+    const telemetry::CycleProfiler &prof = *rig.device->profiler();
+    ASSERT_EQ(prof.observedCycles(), 400u);
+    for (const char *vec : {"total", "mark"}) {
+        SCOPED_TRACE(vec);
+        const auto sums =
+            exportedProfileSums(rig.device->statsPrefix(), vec);
+        EXPECT_EQ(sums.size(), prof.numComponents());
+        for (const auto &[path, sum] : sums) {
+            EXPECT_EQ(sum, prof.observedCycles()) << path;
+        }
+    }
+}
+
+TEST(ProfilerReadPaths, DeviceDestroyedMidPhaseRetiresFullSpans)
+{
+    OptionsGuard guard;
+    telemetry::options().profile = true;
+    telemetry::StatsRegistry::global().clearRetired();
+    MidMarkRig rig(400);
+    ASSERT_EQ(rig.stop, System::StopReason::Stopped);
+    const std::string prefix = rig.device->statsPrefix();
+    const std::size_t components = rig.device->profiler()->numComponents();
+    const std::uint64_t observed =
+        rig.device->profiler()->observedCycles();
+    rig.device.reset(); // Retires the groups with the mark phase open.
+    for (const char *vec : {"total", "mark"}) {
+        SCOPED_TRACE(vec);
+        const auto sums = exportedProfileSums(prefix, vec);
+        EXPECT_EQ(sums.size(), components);
+        for (const auto &[path, sum] : sums) {
+            EXPECT_EQ(sum, observed) << path;
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -14,6 +14,9 @@
  *  3. The suffix attribution is bit-identical whichever kernel the
  *     checkpoint restores under — classification is a pure function
  *     of architectural state, and restore cannot break that.
+ *
+ * Every run also checks the profiler after each phase against a
+ * reference that classifies every component on every observation.
  */
 
 #include <gtest/gtest.h>
@@ -24,6 +27,7 @@
 #include <vector>
 
 #include "core/hwgc_device.h"
+#include "ref_profiler.h"
 #include "sim/cycle_class.h"
 #include "sim/profiler.h"
 #include "sim/telemetry.h"
@@ -139,8 +143,12 @@ profiledRun(const workload::GraphParams &graph, const HwgcConfig &config,
     telemetry::StatsRegistry::global().clearRetired();
     Rig rig(graph, config);
     setup(rig);
+    // Lockstep with the reference profiler, checked after each phase.
+    test::RefProfiler ref(*rig.device);
     const auto mark = rig.device->runMark();
+    ref.expectMatch();
     const auto sweep = rig.device->runSweep();
+    ref.expectMatch();
     return capture(rig, mark, sweep);
 }
 
