@@ -27,6 +27,8 @@
 #include <iostream>
 #include <map>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/hwgc_device.h"
 #include "gc/verifier.h"
@@ -57,52 +59,41 @@ postMortem(const std::string &path)
 
     // The leading chunks have a fixed layout; decode them.
     Deserializer des = Deserializer::fromFile(path);
-    des.beginChunk("config");
-    const std::string signature = des.getString();
-    des.endChunk();
+    std::string signature;
+    des.chunk("config", signature);
     std::printf("\ndevice configuration: %s\n", signature.c_str());
 
-    des.beginChunk("regs");
-    const std::uint64_t page_table = des.getU64();
-    const std::uint64_t hwgc_space = des.getU64();
-    const std::uint64_t roots = des.getU64();
-    const std::uint64_t block_table = des.getU64();
-    const std::uint64_t blocks = des.getU64();
-    const std::uint64_t spill_base = des.getU64();
-    const std::uint64_t spill_bytes = des.getU64();
-    const std::uint64_t status = des.getU64();
-    des.endChunk();
+    hwgc::core::MmioRegs regs;
+    des.chunk("regs", regs);
     const char *status_name =
-        status == hwgc::core::MmioRegs::Marking    ? "Marking"
-        : status == hwgc::core::MmioRegs::Sweeping ? "Sweeping"
-        : status == hwgc::core::MmioRegs::Idle     ? "Idle"
-                                                   : "?";
+        regs.status == hwgc::core::MmioRegs::Marking    ? "Marking"
+        : regs.status == hwgc::core::MmioRegs::Sweeping ? "Sweeping"
+        : regs.status == hwgc::core::MmioRegs::Idle     ? "Idle"
+                                                        : "?";
     std::printf("mmio: status=%s pageTable=%#llx hwgcSpace=%#llx "
                 "roots=%llu blockTable=%#llx blocks=%llu "
                 "spill=%#llx+%llu\n",
-                status_name, (unsigned long long)page_table,
-                (unsigned long long)hwgc_space,
-                (unsigned long long)roots,
-                (unsigned long long)block_table,
-                (unsigned long long)blocks,
-                (unsigned long long)spill_base,
-                (unsigned long long)spill_bytes);
+                status_name, (unsigned long long)regs.pageTableBase,
+                (unsigned long long)regs.hwgcSpaceBase,
+                (unsigned long long)regs.rootCount,
+                (unsigned long long)regs.blockTableBase,
+                (unsigned long long)regs.blockCount,
+                (unsigned long long)regs.spillBase,
+                (unsigned long long)regs.spillBytes);
 
+    // The kernel chunk is decoded by hand: System's field list checks
+    // every scheduled wakeup against the registered components, which
+    // only a device of the saved configuration has.
     des.beginChunk("kernel");
-    const std::uint64_t now = des.getU64();
-    const std::uint64_t executed = des.getU64();
-    const std::uint64_t due_mask = des.getU64();
-    const std::uint64_t pending = des.getU64();
-    for (std::uint64_t i = 0; i < pending; ++i) {
-        des.getU64(); // Scheduled-wakeup cycle.
-        des.getU64(); // Component index.
-    }
+    std::uint64_t now = 0, executed = 0, due_mask = 0;
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> wakeups;
+    des(now, executed, due_mask);
+    des.list(wakeups);
     des.endChunk();
     std::printf("kernel: cycle=%llu executed=%llu dueMask=%#llx "
-                "scheduledWakeups=%llu\n",
+                "scheduledWakeups=%zu\n",
                 (unsigned long long)now, (unsigned long long)executed,
-                (unsigned long long)due_mask,
-                (unsigned long long)pending);
+                (unsigned long long)due_mask, wakeups.size());
     std::printf("\nresume with --checkpoint-in=%s on an identically "
                 "configured run.\n", path.c_str());
     return 0;

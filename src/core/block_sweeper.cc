@@ -341,89 +341,22 @@ BlockSweeper::cycleClass(Tick now) const
                                  : CycleClass::StallBus;
 }
 
+template <class Ar>
 void
-BlockSweeper::save(checkpoint::Serializer &ser) const
+BlockSweeper::fields(Ar &ar)
 {
-    ser.putBool(active_);
-    ser.putU64(job_.entryVa);
-    ser.putU64(job_.baseVa);
-    ser.putU64(job_.cellBytes);
-    ser.putBool(inboxValid_);
-    ser.putU64(inboxAt_);
-    ser.putU64(inboxJob_.entryVa);
-    ser.putU64(inboxJob_.baseVa);
-    ser.putU64(inboxJob_.cellBytes);
-    ser.putU64(cellIndex_);
-    ser.putU64(numCells_);
-    ser.putU64(std::uint64_t(step_));
-    ser.putU64(curNumRefs_);
-    ser.putU64(freeHead_);
-    ser.putU64(prevFree_);
-    ser.putU64(freeCells_);
-    ser.putBool(hasLive_);
-    ser.putBool(pendingLink_);
-    ser.putU64(pendingLinkTarget_);
-    for (const auto &line : lines_) {
-        ser.putBool(line.valid);
-        ser.putU64(line.lineVa);
-        for (const Word w : line.data) {
-            ser.putU64(w);
-        }
-        ser.putU64(line.lastUse);
+    ar(active_, job_, inboxValid_, inboxAt_, inboxJob_, cellIndex_,
+       numCells_, step_, curNumRefs_, freeHead_, prevFree_, freeCells_,
+       hasLive_, pendingLink_, pendingLinkTarget_);
+    for (LineBuf &line : lines_) {
+        ar(line.valid, line.lineVa, line.data, line.lastUse);
     }
-    ser.putU64(useCounter_);
-    ser.putBool(lineFillPending_);
-    ser.putU64(lineFillVa_);
-    ser.putU64(writesInFlight_);
-    ser.putBool(walkPending_);
-    checkpoint::putStat(ser, blocks_);
-    checkpoint::putStat(ser, cells_);
-    checkpoint::putStat(ser, freed_);
-    checkpoint::putStat(ser, lineFetches_);
-    tlb_.save(ser);
+    ar(useCounter_, lineFillPending_, lineFillVa_, writesInFlight_,
+       walkPending_, blocks_, cells_, freed_, lineFetches_, tlb_);
 }
 
-void
-BlockSweeper::restore(checkpoint::Deserializer &des)
-{
-    active_ = des.getBool();
-    job_.entryVa = des.getU64();
-    job_.baseVa = des.getU64();
-    job_.cellBytes = std::uint32_t(des.getU64());
-    inboxValid_ = des.getBool();
-    inboxAt_ = des.getU64();
-    inboxJob_.entryVa = des.getU64();
-    inboxJob_.baseVa = des.getU64();
-    inboxJob_.cellBytes = std::uint32_t(des.getU64());
-    cellIndex_ = des.getU64();
-    numCells_ = des.getU64();
-    step_ = Step(des.getU64());
-    curNumRefs_ = std::uint32_t(des.getU64());
-    freeHead_ = des.getU64();
-    prevFree_ = des.getU64();
-    freeCells_ = std::uint32_t(des.getU64());
-    hasLive_ = des.getBool();
-    pendingLink_ = des.getBool();
-    pendingLinkTarget_ = des.getU64();
-    for (auto &line : lines_) {
-        line.valid = des.getBool();
-        line.lineVa = des.getU64();
-        for (auto &w : line.data) {
-            w = des.getU64();
-        }
-        line.lastUse = des.getU64();
-    }
-    useCounter_ = des.getU64();
-    lineFillPending_ = des.getBool();
-    lineFillVa_ = des.getU64();
-    writesInFlight_ = unsigned(des.getU64());
-    walkPending_ = des.getBool();
-    checkpoint::getStat(des, blocks_);
-    checkpoint::getStat(des, cells_);
-    checkpoint::getStat(des, freed_);
-    checkpoint::getStat(des, lineFetches_);
-    tlb_.restore(des);
-}
+template void BlockSweeper::fields(checkpoint::Serializer &);
+template void BlockSweeper::fields(checkpoint::Deserializer &);
 
 void
 BlockSweeper::reset()

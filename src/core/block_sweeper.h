@@ -32,6 +32,8 @@ struct SweepJob
     Addr entryVa = 0;   //!< Block-table entry (for the write-back).
     Addr baseVa = 0;    //!< First cell of the block.
     std::uint32_t cellBytes = 0;
+
+    template <class Ar> void fields(Ar &ar) { ar(entryVa, baseVa, cellBytes); }
 };
 
 /** One parallel block sweeper. */
@@ -71,8 +73,9 @@ class BlockSweeper : public Clocked, public mem::MemResponder
     Tick nextWakeup(Tick now) const override;
     CycleClass cycleClass(Tick now) const override;
     Tick classHorizon(Tick) const override { return maxTick; }
-    void save(checkpoint::Serializer &ser) const override;
-    void restore(checkpoint::Deserializer &des) override;
+    void save(checkpoint::Serializer &ser) const override { ser(*this); }
+    void restore(checkpoint::Deserializer &des) override { des(*this); }
+    template <class Ar> void fields(Ar &ar);
 
     /** Re-creates the page-walk completion callback (restore path). */
     mem::Ptw::WalkCallback walkCallback();

@@ -707,105 +707,50 @@ HwgcDevice::configSignature() const
     return buf;
 }
 
+template <class Ar>
 void
-HwgcDevice::saveCheckpoint(checkpoint::Serializer &ser) const
+HwgcDevice::fields(Ar &ar)
 {
     panic_if(external_,
              "fleet device state is checkpointed by the fleet driver");
     // The configuration fingerprint goes first so a mismatched file
     // fails with "configurations differ" before any state parsing.
-    ser.beginChunk("config");
-    ser.putString(configSignature());
-    ser.endChunk();
-
-    ser.beginChunk("regs");
-    ser.putU64(regs_.pageTableBase);
-    ser.putU64(regs_.hwgcSpaceBase);
-    ser.putU64(regs_.rootCount);
-    ser.putU64(regs_.blockTableBase);
-    ser.putU64(regs_.blockCount);
-    ser.putU64(regs_.spillBase);
-    ser.putU64(regs_.spillBytes);
-    ser.putU64(regs_.status);
-    ser.endChunk();
-
-    ser.beginChunk("kernel");
-    sys_->save(ser);
-    ser.endChunk();
-
+    std::string sig = configSignature();
+    ar.chunk("config", sig);
+    if constexpr (Ar::loading) {
+        fatal_if(sig != configSignature(),
+                 "checkpoint '%s' was written by a different device "
+                 "configuration\n  file: %s\n  this: %s",
+                 ar.origin().c_str(), sig.c_str(),
+                 configSignature().c_str());
+    }
+    ar.chunk("regs", regs_);
+    ar.chunk("kernel", *sys_);
     // One chunk per Clocked component, named by instance name, in
     // registration (= evaluation) order.
-    for (const Clocked *c : sys_->components()) {
-        ser.beginChunk(c->name());
-        c->save(ser);
-        ser.endChunk();
-    }
-
-    // The trace queue is passive (not Clocked) but carries phase state.
-    ser.beginChunk("traceQueue");
-    traceQueue_->save(ser);
-    ser.endChunk();
-
-    // The functional memory image (shared farm-snapshot encoding).
-    ser.beginChunk("physmem");
-    checkpoint::putPhysMem(ser, mem_);
-    ser.endChunk();
-}
-
-void
-HwgcDevice::restoreCheckpoint(checkpoint::Deserializer &des)
-{
-    panic_if(external_,
-             "fleet device state is restored by the fleet driver");
-    des.beginChunk("config");
-    const std::string sig = des.getString();
-    des.endChunk();
-    fatal_if(sig != configSignature(),
-             "checkpoint '%s' was written by a different device "
-             "configuration\n  file: %s\n  this: %s",
-             des.origin().c_str(), sig.c_str(),
-             configSignature().c_str());
-
-    des.beginChunk("regs");
-    regs_.pageTableBase = des.getU64();
-    regs_.hwgcSpaceBase = des.getU64();
-    regs_.rootCount = des.getU64();
-    regs_.blockTableBase = des.getU64();
-    regs_.blockCount = des.getU64();
-    regs_.spillBase = des.getU64();
-    regs_.spillBytes = des.getU64();
-    regs_.status = des.getU64();
-    des.endChunk();
-
-    des.beginChunk("kernel");
-    sys_->restore(des);
-    des.endChunk();
-
     for (Clocked *c : sys_->components()) {
-        des.beginChunk(c->name());
-        c->restore(des);
-        des.endChunk();
+        ar.chunk(c->name(), *c);
     }
+    // The trace queue is passive (not Clocked) but carries phase state.
+    ar.chunk("traceQueue", *traceQueue_);
+    // The functional memory image (shared farm-snapshot encoding).
+    ar.chunk("physmem", mem_);
 
-    des.beginChunk("traceQueue");
-    traceQueue_->restore(des);
-    des.endChunk();
-
-    des.beginChunk("physmem");
-    checkpoint::getPhysMem(des, mem_);
-    des.endChunk();
-
-    fatal_if(!des.atEnd(),
-             "checkpoint '%s': trailing data after the last expected "
-             "chunk — the saving and restoring configurations differ",
-             des.origin().c_str());
-
-    DPRINTF(sys_->now(), "Device",
-            "%s: restored checkpoint '%s' at cycle %llu (status %llu)",
-            statsPrefix_.c_str(), des.origin().c_str(),
-            (unsigned long long)sys_->now(),
-            (unsigned long long)regs_.status);
+    if constexpr (Ar::loading) {
+        fatal_if(!ar.atEnd(),
+                 "checkpoint '%s': trailing data after the last expected "
+                 "chunk — the saving and restoring configurations differ",
+                 ar.origin().c_str());
+        DPRINTF(sys_->now(), "Device",
+                "%s: restored checkpoint '%s' at cycle %llu (status %llu)",
+                statsPrefix_.c_str(), ar.origin().c_str(),
+                (unsigned long long)sys_->now(),
+                (unsigned long long)regs_.status);
+    }
 }
+
+template void HwgcDevice::fields(checkpoint::Serializer &);
+template void HwgcDevice::fields(checkpoint::Deserializer &);
 
 bool
 HwgcDevice::writeCheckpoint(const std::string &path) const

@@ -64,6 +64,15 @@ struct MmioRegs
     /** Status register values polled by the runtime (§IV-C). */
     enum Status : std::uint64_t { Idle = 0, Marking = 1, Sweeping = 2 };
     std::uint64_t status = Idle;
+
+    /** Checkpoint field list: the eight register words, in order. */
+    template <class Ar>
+    void
+    fields(Ar &ar)
+    {
+        ar(pageTableBase, hwgcSpaceBase, rootCount, blockTableBase,
+           blockCount, spillBase, spillBytes, status);
+    }
 };
 
 /** Result of one accelerator phase. */
@@ -174,10 +183,13 @@ class HwgcDevice
      */
 
     /** Serializes the full device state into @p ser. */
-    void saveCheckpoint(checkpoint::Serializer &ser) const;
+    void saveCheckpoint(checkpoint::Serializer &ser) const { ser(*this); }
 
     /** Restores state written by saveCheckpoint(); mismatch fatals. */
-    void restoreCheckpoint(checkpoint::Deserializer &des);
+    void restoreCheckpoint(checkpoint::Deserializer &des) { des(*this); }
+
+    /** The checkpoint's chunks, in file order (sim/checkpoint.h). */
+    template <class Ar> void fields(Ar &ar);
 
     /** saveCheckpoint() to @p path; returns false (warn) on I/O error. */
     bool writeCheckpoint(const std::string &path) const;

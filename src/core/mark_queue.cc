@@ -304,63 +304,19 @@ MarkQueue::cycleClass(Tick now) const
     return CycleClass::StallDownstreamFull;
 }
 
-namespace
-{
-
+template <class Ar>
 void
-saveWordDeque(checkpoint::Serializer &ser, const std::deque<Word> &q)
+MarkQueue::fields(Ar &ar)
 {
-    ser.putU64(q.size());
-    for (const Word w : q) {
-        ser.putU64(w);
-    }
+    ar.list(q_);
+    ar.list(outQ_);
+    ar.list(inQ_);
+    ar(spillHead_, spillTail_, writeInFlight_, readInFlight_, spillWrites_,
+       spillReads_, entriesSpilled_, maxDepth_, peakSpill_);
 }
 
-void
-restoreWordDeque(checkpoint::Deserializer &des, std::deque<Word> &q)
-{
-    q.clear();
-    const std::uint64_t count = des.getU64();
-    for (std::uint64_t i = 0; i < count; ++i) {
-        q.push_back(des.getU64());
-    }
-}
-
-} // namespace
-
-void
-MarkQueue::save(checkpoint::Serializer &ser) const
-{
-    saveWordDeque(ser, q_);
-    saveWordDeque(ser, outQ_);
-    saveWordDeque(ser, inQ_);
-    ser.putU64(spillHead_);
-    ser.putU64(spillTail_);
-    ser.putBool(writeInFlight_);
-    ser.putBool(readInFlight_);
-    checkpoint::putStat(ser, spillWrites_);
-    checkpoint::putStat(ser, spillReads_);
-    checkpoint::putStat(ser, entriesSpilled_);
-    checkpoint::putStat(ser, maxDepth_);
-    checkpoint::putStat(ser, peakSpill_);
-}
-
-void
-MarkQueue::restore(checkpoint::Deserializer &des)
-{
-    restoreWordDeque(des, q_);
-    restoreWordDeque(des, outQ_);
-    restoreWordDeque(des, inQ_);
-    spillHead_ = des.getU64();
-    spillTail_ = des.getU64();
-    writeInFlight_ = des.getBool();
-    readInFlight_ = des.getBool();
-    checkpoint::getStat(des, spillWrites_);
-    checkpoint::getStat(des, spillReads_);
-    checkpoint::getStat(des, entriesSpilled_);
-    checkpoint::getStat(des, maxDepth_);
-    checkpoint::getStat(des, peakSpill_);
-}
+template void MarkQueue::fields(checkpoint::Serializer &);
+template void MarkQueue::fields(checkpoint::Deserializer &);
 
 void
 MarkQueue::reset()

@@ -75,33 +75,18 @@ class MarkBitCache
 
     void clear() { slots_.clear(); }
 
+    /** Checkpoint field list (sim/checkpoint.h). */
+    template <class Ar>
     void
-    save(checkpoint::Serializer &ser) const
+    fields(Ar &ar)
     {
-        ser.putU64(useCounter_);
-        ser.putU64(slots_.size());
-        for (const auto &e : slots_) {
-            ser.putU64(e.first);
-            ser.putU64(e.second);
-        }
-    }
-
-    void
-    restore(checkpoint::Deserializer &des)
-    {
-        useCounter_ = des.getU64();
-        const std::uint64_t count = des.getU64();
-        fatal_if(count > entries_,
-                 "checkpoint '%s': mark-bit cache holds %llu entries "
-                 "but has capacity %u — configurations differ",
-                 des.origin().c_str(), (unsigned long long)count,
-                 entries_);
-        slots_.clear();
-        slots_.reserve(std::size_t(count));
-        for (std::uint64_t i = 0; i < count; ++i) {
-            const Addr ref = des.getU64();
-            const std::uint64_t use = des.getU64();
-            slots_.emplace_back(ref, use);
+        ar(useCounter_);
+        ar.list(slots_);
+        if constexpr (Ar::loading) {
+            fatal_if(slots_.size() > entries_,
+                     "checkpoint '%s': mark-bit cache holds %zu entries "
+                     "but has capacity %u — configurations differ",
+                     ar.origin().c_str(), slots_.size(), entries_);
         }
     }
 
@@ -132,8 +117,9 @@ class Marker : public Clocked, public mem::MemResponder
     CycleClass cycleClass(Tick now) const override;
     Tick classHorizon(Tick) const override { return maxTick; }
     void fastForward(Tick from, Tick to) override;
-    void save(checkpoint::Serializer &ser) const override;
-    void restore(checkpoint::Deserializer &des) override;
+    void save(checkpoint::Serializer &ser) const override { ser(*this); }
+    void restore(checkpoint::Deserializer &des) override { des(*this); }
+    template <class Ar> void fields(Ar &ar);
 
     /**
      * Re-creates the page-walk completion callback for walk-waiter

@@ -12,7 +12,6 @@
 
 #include <deque>
 
-#include "sim/checkpoint.h"
 #include "sim/logging.h"
 #include "sim/stats.h"
 #include "sim/types.h"
@@ -68,34 +67,19 @@ class TraceQueue
     /** Registers the queue's statistics into @p g (telemetry). */
     void addStats(stats::Group &g) const { g.add(&maxDepth_); }
 
+    /** Checkpoint field list (sim/checkpoint.h). */
+    template <class Ar>
     void
-    save(checkpoint::Serializer &ser) const
+    fields(Ar &ar)
     {
-        ser.putU64(q_.size());
-        for (const auto &e : q_) {
-            ser.putU64(e.ref);
-            ser.putU64(e.numRefs);
+        ar.list(q_, [&](TraceEntry &e) { ar(e.ref, e.numRefs); });
+        if constexpr (Ar::loading) {
+            fatal_if(q_.size() > capacity_,
+                     "checkpoint '%s': trace queue holds %zu entries but "
+                     "has capacity %u — configurations differ",
+                     ar.origin().c_str(), q_.size(), capacity_);
         }
-        checkpoint::putStat(ser, maxDepth_);
-    }
-
-    void
-    restore(checkpoint::Deserializer &des)
-    {
-        const std::uint64_t count = des.getU64();
-        fatal_if(count > capacity_,
-                 "checkpoint '%s': trace queue holds %llu entries but "
-                 "has capacity %u — configurations differ",
-                 des.origin().c_str(), (unsigned long long)count,
-                 capacity_);
-        q_.clear();
-        for (std::uint64_t i = 0; i < count; ++i) {
-            TraceEntry e;
-            e.ref = des.getU64();
-            e.numRefs = std::uint32_t(des.getU64());
-            q_.push_back(e);
-        }
-        checkpoint::getStat(des, maxDepth_);
+        ar(maxDepth_);
     }
 
   private:

@@ -409,83 +409,19 @@ Tracer::fastForward(Tick from, Tick to)
     }
 }
 
+template <class Ar>
 void
-Tracer::save(checkpoint::Serializer &ser) const
+Tracer::fields(Ar &ar)
 {
-    ser.putBool(active_.has_value());
-    if (active_) {
-        const Active &a = *active_;
-        ser.putU64(a.ref);
-        ser.putU64(a.cursor);
-        ser.putU64(a.end);
-        ser.putU64(a.numRefs);
-        ser.putU64(a.slotsIssued);
-        ser.putU64(a.nextOffsetGroup);
-        ser.putBool(a.needTibPtr);
-        ser.putBool(a.awaitTibPtr);
-        ser.putBool(a.needTibMeta);
-        ser.putBool(a.awaitTibMeta);
-        ser.putU64(a.tibAddr);
-    }
-    ser.putU64(inFlight_);
-    ser.putU64(pendingRefs_.size());
-    for (const Addr ref : pendingRefs_) {
-        ser.putU64(ref);
-    }
-    ser.putBool(walkPending_);
-    ser.putBool(walkDone_);
-    ser.putU64(walkPa_);
-    ser.putU64(walkVa_);
-    checkpoint::putStat(ser, requests_);
-    checkpoint::putStat(ser, bytesRequested_);
-    checkpoint::putStat(ser, refsEnqueued_);
-    checkpoint::putStat(ser, nullsDropped_);
-    checkpoint::putStat(ser, objects_);
-    checkpoint::putStat(ser, pageCrossings_);
-    checkpoint::putStat(ser, throttled_);
-    checkpoint::putStat(ser, tibReads_);
-    tlb_.save(ser);
+    ar(active_, inFlight_);
+    ar.list(pendingRefs_);
+    ar(walkPending_, walkDone_, walkPa_, walkVa_, requests_, bytesRequested_,
+       refsEnqueued_, nullsDropped_, objects_, pageCrossings_, throttled_,
+       tibReads_, tlb_);
 }
 
-void
-Tracer::restore(checkpoint::Deserializer &des)
-{
-    active_.reset();
-    if (des.getBool()) {
-        Active a;
-        a.ref = des.getU64();
-        a.cursor = des.getU64();
-        a.end = des.getU64();
-        a.numRefs = std::uint32_t(des.getU64());
-        a.slotsIssued = std::uint32_t(des.getU64());
-        a.nextOffsetGroup = std::uint32_t(des.getU64());
-        a.needTibPtr = des.getBool();
-        a.awaitTibPtr = des.getBool();
-        a.needTibMeta = des.getBool();
-        a.awaitTibMeta = des.getBool();
-        a.tibAddr = des.getU64();
-        active_ = a;
-    }
-    inFlight_ = unsigned(des.getU64());
-    pendingRefs_.clear();
-    const std::uint64_t num_pending = des.getU64();
-    for (std::uint64_t i = 0; i < num_pending; ++i) {
-        pendingRefs_.push_back(des.getU64());
-    }
-    walkPending_ = des.getBool();
-    walkDone_ = des.getBool();
-    walkPa_ = des.getU64();
-    walkVa_ = des.getU64();
-    checkpoint::getStat(des, requests_);
-    checkpoint::getStat(des, bytesRequested_);
-    checkpoint::getStat(des, refsEnqueued_);
-    checkpoint::getStat(des, nullsDropped_);
-    checkpoint::getStat(des, objects_);
-    checkpoint::getStat(des, pageCrossings_);
-    checkpoint::getStat(des, throttled_);
-    checkpoint::getStat(des, tibReads_);
-    tlb_.restore(des);
-}
+template void Tracer::fields(checkpoint::Serializer &);
+template void Tracer::fields(checkpoint::Deserializer &);
 
 void
 Tracer::reset()

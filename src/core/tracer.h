@@ -58,8 +58,9 @@ class Tracer : public Clocked, public mem::MemResponder
     CycleClass cycleClass(Tick now) const override;
     Tick classHorizon(Tick) const override { return maxTick; }
     void fastForward(Tick from, Tick to) override;
-    void save(checkpoint::Serializer &ser) const override;
-    void restore(checkpoint::Deserializer &des) override;
+    void save(checkpoint::Serializer &ser) const override { ser(*this); }
+    void restore(checkpoint::Deserializer &des) override { des(*this); }
+    template <class Ar> void fields(Ar &ar);
 
     /** Re-creates the page-walk completion callback (restore path). */
     mem::Ptw::WalkCallback walkCallback();
@@ -125,6 +126,14 @@ class Tracer : public Clocked, public mem::MemResponder
         bool needTibMeta = false;
         bool awaitTibMeta = false;
         Addr tibAddr = 0;
+
+        template <class Ar>
+        void
+        fields(Ar &ar)
+        {
+            ar(ref, cursor, end, numRefs, slotsIssued, nextOffsetGroup,
+               needTibPtr, awaitTibPtr, needTibMeta, awaitTibMeta, tibAddr);
+        }
     };
 
     /** Translates @p va, stalling on the blocking PTW if needed.

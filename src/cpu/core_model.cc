@@ -6,8 +6,6 @@
 #include "core_model.h"
 
 #include <algorithm>
-#include <utility>
-#include <vector>
 
 #include "sim/checkpoint.h"
 
@@ -105,47 +103,17 @@ CoreModel::flushMicroarchState()
     predictor_.clear();
 }
 
+template <class Ar>
 void
-CoreModel::save(checkpoint::Serializer &ser) const
+CoreModel::fields(Ar &ar)
 {
-    l2_.save(ser);
-    l1d_.save(ser);
-    dtlb_.save(ser);
-    ser.putU64(cycles_);
-    // Unordered-map iteration order is nondeterministic; sort so the
-    // image is byte-stable across runs.
-    std::vector<std::pair<unsigned, std::uint8_t>> sites(
-        predictor_.begin(), predictor_.end());
-    std::sort(sites.begin(), sites.end());
-    ser.putU64(sites.size());
-    for (const auto &[site, counter] : sites) {
-        ser.putU64(site);
-        ser.putU64(counter);
-    }
-    checkpoint::putStat(ser, instrs_);
-    checkpoint::putStat(ser, mispredicts_);
-    checkpoint::putStat(ser, loads_);
-    checkpoint::putStat(ser, stores_);
+    ar(l2_, l1d_, dtlb_, cycles_);
+    ar.list(predictor_);
+    ar(instrs_, mispredicts_, loads_, stores_);
 }
 
-void
-CoreModel::restore(checkpoint::Deserializer &des)
-{
-    l2_.restore(des);
-    l1d_.restore(des);
-    dtlb_.restore(des);
-    cycles_ = des.getU64();
-    predictor_.clear();
-    const std::uint64_t num_sites = des.getU64();
-    for (std::uint64_t i = 0; i < num_sites; ++i) {
-        const unsigned site = unsigned(des.getU64());
-        predictor_[site] = std::uint8_t(des.getU64());
-    }
-    checkpoint::getStat(des, instrs_);
-    checkpoint::getStat(des, mispredicts_);
-    checkpoint::getStat(des, loads_);
-    checkpoint::getStat(des, stores_);
-}
+template void CoreModel::fields(checkpoint::Serializer &);
+template void CoreModel::fields(checkpoint::Deserializer &);
 
 void
 CoreModel::resetStats()

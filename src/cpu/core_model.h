@@ -85,8 +85,7 @@ class CoreModel
     void flushMicroarchState();
 
     /** @name Checkpointing (caches, TLB, predictor, counters) @{ */
-    void save(checkpoint::Serializer &ser) const;
-    void restore(checkpoint::Deserializer &des);
+    template <class Ar> void fields(Ar &ar);
     /** @} */
 
     void resetStats();

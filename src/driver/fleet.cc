@@ -474,200 +474,93 @@ FleetLab::configSignature() const
     return os.str();
 }
 
+template <class Ar>
 void
-FleetLab::saveCheckpoint(checkpoint::Serializer &ser) const
+FleetLab::fields(Ar &ar)
 {
-    ser.beginChunk("fleetcfg");
-    ser.putString(configSignature());
-    ser.endChunk();
-
-    ser.beginChunk("driver");
-    ser.putU64(pending_.size());
-    for (const GcRequest &req : pending_) {
-        ser.putU64(req.tenant);
-        ser.putU64(req.triggerAt);
-        ser.putU64(req.deadline);
-    }
-    for (std::size_t t = 0; t < tenants_.size(); ++t) {
-        const Tenant &ten = tenants_[t];
-        checkpoint::putRng(ser, ten.rng);
-        ser.putU64(ten.nextTriggerAt);
-        ser.putU64(ten.gcsDone);
-        ser.putBool(ten.queued);
-        ser.putU64(ten.pauseCycles.size());
-        for (const auto &w : ten.pauseCycles) {
-            ser.putU64(w.first);
-            ser.putU64(w.second);
-        }
-        ser.putU64(stats_[t].stwCycles);
-        ser.putU64(stats_[t].queueCycles);
-    }
-    for (const Device &dev : devices_) {
-        ser.putU64(dev.tenant);
-        ser.putU64(dev.phase);
-        ser.putU64(dev.triggerAt);
-        ser.putU64(dev.dispatchAt);
-        ser.putU64(dev.sweepStartAt);
-        const core::MmioRegs &regs =
-            const_cast<core::HwgcDevice &>(*dev.device).regs();
-        ser.putU64(regs.pageTableBase);
-        ser.putU64(regs.hwgcSpaceBase);
-        ser.putU64(regs.rootCount);
-        ser.putU64(regs.blockTableBase);
-        ser.putU64(regs.blockCount);
-        ser.putU64(regs.spillBase);
-        ser.putU64(regs.spillBytes);
-        ser.putU64(regs.status);
-    }
-    ser.endChunk();
-
-    ser.beginChunk("kernel");
-    sys_.save(ser);
-    ser.endChunk();
-
-    for (const Clocked *c : sys_.components()) {
-        ser.beginChunk(c->name());
-        c->save(ser);
-        ser.endChunk();
+    std::string sig = configSignature();
+    ar.chunk("fleetcfg", sig);
+    if constexpr (Ar::loading) {
+        fatal_if(sig != configSignature(),
+                 "fleet checkpoint '%s' was written by a different "
+                 "configuration\n  file: %s\n  this: %s",
+                 ar.origin().c_str(), sig.c_str(),
+                 configSignature().c_str());
     }
 
-    for (std::size_t d = 0; d < devices_.size(); ++d) {
-        ser.beginChunk("hwgc" + std::to_string(d) + ".traceQueue");
-        const_cast<core::HwgcDevice &>(*devices_[d].device)
-            .traceQueue()
-            .save(ser);
-        ser.endChunk();
+    // Each device's registers travel in the driver chunk but are
+    // applied last: configure() below recomputes them.
+    std::vector<core::MmioRegs> regs;
+    for (Device &dev : devices_) {
+        regs.push_back(dev.device->regs());
     }
-
-    for (std::size_t t = 0; t < tenants_.size(); ++t) {
-        ser.beginChunk("heap" + std::to_string(t));
-        tenants_[t].heap->save(ser);
-        ser.endChunk();
-        ser.beginChunk("builder" + std::to_string(t));
-        tenants_[t].builder->save(ser);
-        ser.endChunk();
-    }
-
-    ser.beginChunk("physmem");
-    checkpoint::putPhysMem(ser, mem_);
-    ser.endChunk();
-}
-
-void
-FleetLab::restoreCheckpoint(checkpoint::Deserializer &des)
-{
-    des.beginChunk("fleetcfg");
-    const std::string sig = des.getString();
-    des.endChunk();
-    fatal_if(sig != configSignature(),
-             "fleet checkpoint '%s' was written by a different "
-             "configuration\n  file: %s\n  this: %s",
-             des.origin().c_str(), sig.c_str(),
-             configSignature().c_str());
-
-    des.beginChunk("driver");
-    pending_.clear();
-    const std::uint64_t num_pending = des.getU64();
-    for (std::uint64_t i = 0; i < num_pending; ++i) {
-        GcRequest req;
-        req.tenant = unsigned(des.getU64());
-        req.triggerAt = des.getU64();
-        req.deadline = des.getU64();
-        pending_.push_back(req);
-    }
+    ar.beginChunk("driver");
+    ar.list(pending_, [&](GcRequest &req) {
+        ar(req.tenant, req.triggerAt, req.deadline);
+    });
     for (std::size_t t = 0; t < tenants_.size(); ++t) {
         Tenant &ten = tenants_[t];
-        checkpoint::getRng(des, ten.rng);
-        ten.nextTriggerAt = des.getU64();
-        ten.gcsDone = unsigned(des.getU64());
-        ten.queued = des.getBool();
-        ten.running = false;
-        ten.pauseCycles.clear();
-        const std::uint64_t num_pauses = des.getU64();
-        for (std::uint64_t i = 0; i < num_pauses; ++i) {
-            const Tick start = des.getU64();
-            const Tick end = des.getU64();
-            ten.pauseCycles.emplace_back(start, end);
+        ar(ten.rng, ten.nextTriggerAt, ten.gcsDone, ten.queued);
+        ar.list(ten.pauseCycles);
+        ar(stats_[t].stwCycles, stats_[t].queueCycles);
+        if constexpr (Ar::loading) {
+            ten.running = false;
+            stats_[t].gcs = ten.gcsDone;
         }
-        stats_[t].gcs = ten.gcsDone;
-        stats_[t].stwCycles = des.getU64();
-        stats_[t].queueCycles = des.getU64();
     }
-    std::vector<core::MmioRegs> saved_regs(devices_.size());
-    for (Device &dev : devices_) {
-        dev.tenant = unsigned(des.getU64());
-        dev.phase = unsigned(des.getU64());
-        dev.triggerAt = des.getU64();
-        dev.dispatchAt = des.getU64();
-        dev.sweepStartAt = des.getU64();
-        core::MmioRegs &regs =
-            saved_regs[std::size_t(&dev - devices_.data())];
-        regs.pageTableBase = des.getU64();
-        regs.hwgcSpaceBase = des.getU64();
-        regs.rootCount = des.getU64();
-        regs.blockTableBase = des.getU64();
-        regs.blockCount = des.getU64();
-        regs.spillBase = des.getU64();
-        regs.spillBytes = des.getU64();
-        regs.status = des.getU64();
+    for (std::size_t d = 0; d < devices_.size(); ++d) {
+        Device &dev = devices_[d];
+        ar(dev.tenant, dev.phase, dev.triggerAt, dev.dispatchAt,
+           dev.sweepStartAt, regs[d]);
     }
-    des.endChunk();
+    ar.endChunk();
 
-    // Retarget every serving device at its tenant's heap *before*
-    // restoring component state: the PTW page-table pointer and the
-    // mark queue's spill region are configure()-time wiring, not
-    // serialized state, and both retarget calls insist on empty
-    // queues (true on a freshly constructed fleet, not after the
-    // chunks below load a mid-phase image).
-    for (Device &dev : devices_) {
-        if (dev.tenant != noTenant) {
-            dev.device->configure(*tenants_[dev.tenant].heap);
-            tenants_[dev.tenant].running = true;
+    if constexpr (Ar::loading) {
+        // Retarget every serving device at its tenant's heap *before*
+        // restoring component state: the PTW page-table pointer and
+        // the mark queue's spill region are configure()-time wiring,
+        // not serialized state, and both retarget calls insist on
+        // empty queues (true on a freshly constructed fleet, not after
+        // the chunks below load a mid-phase image).
+        for (Device &dev : devices_) {
+            if (dev.tenant != noTenant) {
+                dev.device->configure(*tenants_[dev.tenant].heap);
+                tenants_[dev.tenant].running = true;
+            }
         }
     }
 
-    des.beginChunk("kernel");
-    sys_.restore(des);
-    des.endChunk();
-
+    ar.chunk("kernel", sys_);
     for (Clocked *c : sys_.components()) {
-        des.beginChunk(c->name());
-        c->restore(des);
-        des.endChunk();
+        ar.chunk(c->name(), *c);
     }
-
     for (std::size_t d = 0; d < devices_.size(); ++d) {
-        des.beginChunk("hwgc" + std::to_string(d) + ".traceQueue");
-        devices_[d].device->traceQueue().restore(des);
-        des.endChunk();
+        ar.chunk("hwgc" + std::to_string(d) + ".traceQueue",
+                 devices_[d].device->traceQueue());
     }
-
     for (std::size_t t = 0; t < tenants_.size(); ++t) {
-        des.beginChunk("heap" + std::to_string(t));
-        tenants_[t].heap->restore(des);
-        des.endChunk();
-        des.beginChunk("builder" + std::to_string(t));
-        tenants_[t].builder->restore(des);
-        des.endChunk();
+        ar.chunk("heap" + std::to_string(t), *tenants_[t].heap);
+        ar.chunk("builder" + std::to_string(t), *tenants_[t].builder);
     }
+    ar.chunk("physmem", mem_);
 
-    des.beginChunk("physmem");
-    checkpoint::getPhysMem(des, mem_);
-    des.endChunk();
-
-    fatal_if(!des.atEnd(),
-             "fleet checkpoint '%s': trailing data after the last "
-             "expected chunk — the saving and restoring "
-             "configurations differ",
-             des.origin().c_str());
-
-    // The interim configure() above recomputed registers from
-    // pre-restore heap state; the saved values are authoritative.
-    for (std::size_t d = 0; d < devices_.size(); ++d) {
-        devices_[d].device->regs() = saved_regs[d];
+    if constexpr (Ar::loading) {
+        fatal_if(!ar.atEnd(),
+                 "fleet checkpoint '%s': trailing data after the last "
+                 "expected chunk — the saving and restoring "
+                 "configurations differ",
+                 ar.origin().c_str());
+        // The interim configure() above recomputed registers from
+        // pre-restore heap state; the saved values are authoritative.
+        for (std::size_t d = 0; d < devices_.size(); ++d) {
+            devices_[d].device->regs() = regs[d];
+        }
+        measured_ = false;
     }
-    measured_ = false;
 }
+
+template void FleetLab::fields(checkpoint::Serializer &);
+template void FleetLab::fields(checkpoint::Deserializer &);
 
 bool
 FleetLab::writeCheckpoint(const std::string &path) const

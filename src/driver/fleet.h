@@ -168,10 +168,13 @@ class FleetLab
      * any kernel. Only legal between runUntilCycle() slices.
      * @{
      */
-    void saveCheckpoint(checkpoint::Serializer &ser) const;
-    void restoreCheckpoint(checkpoint::Deserializer &des);
+    void saveCheckpoint(checkpoint::Serializer &ser) const { ser(*this); }
+    void restoreCheckpoint(checkpoint::Deserializer &des) { des(*this); }
     bool writeCheckpoint(const std::string &path) const;
     void restoreCheckpoint(const std::string &path);
+
+    /** The checkpoint's chunks, in file order (sim/checkpoint.h). */
+    template <class Ar> void fields(Ar &ar);
     /** @} */
 
     /** Configuration fingerprint embedded in fleet checkpoints. */

@@ -5,6 +5,7 @@
 
 #include "farm.h"
 
+#include "sim/checkpoint.h"
 #include "sim/logging.h"
 
 namespace hwgc::fuzz
@@ -25,32 +26,11 @@ saveFarmSnapshot(const std::string &path, const FarmMeta &meta,
                  const mem::PhysMem &mem)
 {
     checkpoint::Serializer ser;
-
-    ser.beginChunk("farm");
-    ser.putU64(farmVersion);
-    ser.putU64(meta.seed);
-    ser.putU64(meta.warmPauses);
-    ser.putU64(meta.liveObjects);
-    ser.putU64(meta.bytesAllocated);
-    ser.putU64(mem.size());
-    ser.endChunk();
-
-    ser.beginChunk("graphparams");
-    workload::putGraphParams(ser, params);
-    ser.endChunk();
-
-    ser.beginChunk("heap");
-    heap.save(ser);
-    ser.endChunk();
-
-    ser.beginChunk("builder");
-    builder.save(ser);
-    ser.endChunk();
-
-    ser.beginChunk("physmem");
-    checkpoint::putPhysMem(ser, mem);
-    ser.endChunk();
-
+    ser.chunk("farm", farmVersion, meta, mem.size());
+    ser.chunk("graphparams", params);
+    ser.chunk("heap", heap);
+    ser.chunk("builder", builder);
+    ser.chunk("physmem", mem);
     ser.writeFile(path);
 }
 
@@ -60,44 +40,27 @@ loadFarmSnapshot(const std::string &path)
     checkpoint::Deserializer des = checkpoint::Deserializer::fromFile(path);
     FarmUniverse u;
 
-    des.beginChunk("farm");
-    const std::uint64_t version = des.getU64();
+    std::uint64_t version = 0;
+    std::uint64_t mem_bytes = 0;
+    des.chunk("farm", version, u.meta, mem_bytes);
     fatal_if(version != farmVersion,
              "farm snapshot '%s': unsupported version %llu", path.c_str(),
              static_cast<unsigned long long>(version));
-    u.meta.seed = des.getU64();
-    u.meta.warmPauses = des.getU64();
-    u.meta.liveObjects = des.getU64();
-    u.meta.bytesAllocated = des.getU64();
-    const std::uint64_t memBytes = des.getU64();
-    des.endChunk();
-
-    des.beginChunk("graphparams");
-    u.params = workload::getGraphParams(des);
-    des.endChunk();
+    des.chunk("graphparams", u.params);
 
     // Construct the universe before touching the image: the Heap
     // constructor maps the metadata regions and formats memory, all of
     // which the physmem chunk (restored last) overwrites with the
     // snapshotted bytes — including the page-table entries the
     // restored pagesAllocated count refers to.
-    u.mem = std::make_unique<mem::PhysMem>(memBytes);
+    u.mem = std::make_unique<mem::PhysMem>(mem_bytes);
     u.heap = std::make_unique<runtime::Heap>(*u.mem);
     u.builder =
         std::make_unique<workload::GraphBuilder>(*u.heap, u.params);
 
-    des.beginChunk("heap");
-    u.heap->restore(des);
-    des.endChunk();
-
-    des.beginChunk("builder");
-    u.builder->restore(des);
-    des.endChunk();
-
-    des.beginChunk("physmem");
-    checkpoint::getPhysMem(des, *u.mem);
-    des.endChunk();
-
+    des.chunk("heap", *u.heap);
+    des.chunk("builder", *u.builder);
+    des.chunk("physmem", *u.mem);
     return u;
 }
 

@@ -17,8 +17,8 @@
  *
  *   chunk "farm"        version, seed, warm pauses, live count, ...
  *   chunk "graphparams" full GraphParams (reconstructs the builder)
- *   chunk "heap"        Heap::save (runtime view)
- *   chunk "builder"     GraphBuilder::save (RNG + candidate lists)
+ *   chunk "heap"        Heap::fields (runtime view)
+ *   chunk "builder"     GraphBuilder::fields (RNG + candidate lists)
  *   chunk "physmem"     functional memory image
  */
 
@@ -40,6 +40,14 @@ struct FarmMeta
     std::uint64_t warmPauses = 0; //!< GC pauses run before snapshot.
     std::uint64_t liveObjects = 0;
     std::uint64_t bytesAllocated = 0;
+
+    /** Checkpoint field list (sim/checkpoint.h). */
+    template <class Ar>
+    void
+    fields(Ar &ar)
+    {
+        ar(seed, warmPauses, liveObjects, bytesAllocated);
+    }
 };
 
 /** A warm heap reconstructed from (or about to become) a snapshot. */

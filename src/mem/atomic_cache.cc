@@ -5,6 +5,8 @@
 
 #include "atomic_cache.h"
 
+#include "sim/checkpoint.h"
+
 namespace hwgc::mem
 {
 
@@ -76,23 +78,15 @@ AtomicCache::flush()
     tags_.flush();
 }
 
+template <class Ar>
 void
-AtomicCache::save(checkpoint::Serializer &ser) const
+AtomicCache::fields(Ar &ar)
 {
-    tags_.save(ser);
-    checkpoint::putStat(ser, hits_);
-    checkpoint::putStat(ser, misses_);
-    checkpoint::putStat(ser, writebacks_);
+    ar(tags_, hits_, misses_, writebacks_);
 }
 
-void
-AtomicCache::restore(checkpoint::Deserializer &des)
-{
-    tags_.restore(des);
-    checkpoint::getStat(des, hits_);
-    checkpoint::getStat(des, misses_);
-    checkpoint::getStat(des, writebacks_);
-}
+template void AtomicCache::fields(checkpoint::Serializer &);
+template void AtomicCache::fields(checkpoint::Deserializer &);
 
 void
 AtomicCache::resetStats()

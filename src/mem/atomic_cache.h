@@ -56,8 +56,7 @@ class AtomicCache
     void flush();
 
     /** @name Checkpointing (tag state + counters) @{ */
-    void save(checkpoint::Serializer &ser) const;
-    void restore(checkpoint::Deserializer &des);
+    template <class Ar> void fields(Ar &ar);
     /** @} */
 
     void resetStats();

@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "sim/checkpoint.h"
 #include "sim/logging.h"
 #include "sim/types.h"
 
@@ -128,36 +127,13 @@ class CacheTags
     unsigned numSets() const { return numSets_; }
     unsigned assoc() const { return assoc_; }
 
-    /** Serializes the full tag array (geometry-checked on restore). */
+    /** Checkpoint field list: the full tag array. */
+    template <class Ar>
     void
-    save(checkpoint::Serializer &ser) const
+    fields(Ar &ar)
     {
-        ser.putU64(useCounter_);
-        ser.putU64(ways_.size());
-        for (const auto &w : ways_) {
-            ser.putBool(w.valid);
-            ser.putBool(w.dirty);
-            ser.putU64(w.lineAddr);
-            ser.putU64(w.lastUse);
-        }
-    }
-
-    void
-    restore(checkpoint::Deserializer &des)
-    {
-        useCounter_ = des.getU64();
-        const std::uint64_t count = des.getU64();
-        fatal_if(count != ways_.size(),
-                 "checkpoint '%s': cache tag array has %llu ways but "
-                 "this configuration has %zu — sizes differ",
-                 des.origin().c_str(), (unsigned long long)count,
-                 ways_.size());
-        for (auto &w : ways_) {
-            w.valid = des.getBool();
-            w.dirty = des.getBool();
-            w.lineAddr = des.getU64();
-            w.lastUse = des.getU64();
-        }
+        ar(useCounter_);
+        ar.fixed(ways_);
     }
 
   private:
@@ -167,6 +143,13 @@ class CacheTags
         bool dirty = false;
         Addr lineAddr = 0;
         std::uint64_t lastUse = 0;
+
+        template <class Ar>
+        void
+        fields(Ar &ar)
+        {
+            ar(valid, dirty, lineAddr, lastUse);
+        }
     };
 
     unsigned

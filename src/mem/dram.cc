@@ -234,80 +234,28 @@ Dram::accessAtomic(const MemRequest &req, Tick now,
     return done - now;
 }
 
+template <class Ar>
 void
-Dram::save(checkpoint::Serializer &ser) const
+Dram::fields(Ar &ar)
 {
-    ser.putU64(banks_.size());
-    for (const auto &bank : banks_) {
-        ser.putBool(bank.rowOpen);
-        ser.putU64(bank.openRow);
-        ser.putU64(bank.readyAt);
-        ser.putU64(bank.activatedAt);
-    }
-    ser.putU64(busFreeAt_);
-    ser.putU64(queue_.size());
-    for (const auto &p : queue_) {
-        saveRequest(ser, p.req);
-        ser.putU64(p.arrived);
-    }
-    ser.putU64(readsInFlight_);
-    ser.putU64(writesInFlight_);
-    ser.putU64(completions_.size());
-    for (const auto &c : completions_) {
-        ser.putU64(c.at);
-        saveRequest(ser, c.req);
-    }
-    checkpoint::putStat(ser, numReads_);
-    checkpoint::putStat(ser, numWrites_);
-    checkpoint::putStat(ser, bytesRead_);
-    checkpoint::putStat(ser, bytesWritten_);
-    checkpoint::putStat(ser, rowHits_);
-    checkpoint::putStat(ser, rowMisses_);
-    checkpoint::putStat(ser, numActivates_);
-    checkpoint::putStat(ser, bandwidth_);
-    checkpoint::putStat(ser, latency_);
+    ar.fixed(banks_, [&](Bank &bank) {
+        ar(bank.rowOpen, bank.openRow, bank.readyAt, bank.activatedAt);
+    });
+    ar(busFreeAt_);
+    ar.list(queue_, [&](Pending &p) {
+        ar(p.req, p.arrived);
+        if constexpr (Ar::loading) {
+            p = decode(p.req, p.arrived);
+        }
+    });
+    ar(readsInFlight_, writesInFlight_);
+    ar.list(completions_, [&](Completion &c) { ar(c.at, c.req); });
+    ar(numReads_, numWrites_, bytesRead_, bytesWritten_, rowHits_,
+       rowMisses_, numActivates_, bandwidth_, latency_);
 }
 
-void
-Dram::restore(checkpoint::Deserializer &des)
-{
-    const std::uint64_t num_banks = des.getU64();
-    fatal_if(num_banks != banks_.size(),
-             "checkpoint '%s': DRAM has %llu banks but this "
-             "configuration has %zu — configurations differ",
-             des.origin().c_str(), (unsigned long long)num_banks,
-             banks_.size());
-    for (auto &bank : banks_) {
-        bank.rowOpen = des.getBool();
-        bank.openRow = des.getU64();
-        bank.readyAt = des.getU64();
-        bank.activatedAt = des.getU64();
-    }
-    busFreeAt_ = des.getU64();
-    queue_.clear();
-    const std::uint64_t num_queued = des.getU64();
-    for (std::uint64_t i = 0; i < num_queued; ++i) {
-        const MemRequest req = restoreRequest(des);
-        queue_.push_back(decode(req, des.getU64()));
-    }
-    readsInFlight_ = unsigned(des.getU64());
-    writesInFlight_ = unsigned(des.getU64());
-    completions_.clear();
-    const std::uint64_t num_completions = des.getU64();
-    for (std::uint64_t i = 0; i < num_completions; ++i) {
-        const Tick at = des.getU64();
-        completions_.push_back({at, restoreRequest(des)});
-    }
-    checkpoint::getStat(des, numReads_);
-    checkpoint::getStat(des, numWrites_);
-    checkpoint::getStat(des, bytesRead_);
-    checkpoint::getStat(des, bytesWritten_);
-    checkpoint::getStat(des, rowHits_);
-    checkpoint::getStat(des, rowMisses_);
-    checkpoint::getStat(des, numActivates_);
-    checkpoint::getStat(des, bandwidth_);
-    checkpoint::getStat(des, latency_);
-}
+template void Dram::fields(checkpoint::Serializer &);
+template void Dram::fields(checkpoint::Deserializer &);
 
 void
 Dram::resetStats()

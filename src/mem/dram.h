@@ -78,8 +78,9 @@ class Dram : public MemDevice
     Tick nextWakeup(Tick now) const override;
     CycleClass cycleClass(Tick now) const override;
     Tick classHorizon(Tick) const override { return maxTick; }
-    void save(checkpoint::Serializer &ser) const override;
-    void restore(checkpoint::Deserializer &des) override;
+    void save(checkpoint::Serializer &ser) const override { ser(*this); }
+    void restore(checkpoint::Deserializer &des) override { des(*this); }
+    template <class Ar> void fields(Ar &ar);
 
     /** Resets bank/row-buffer state (between experiment phases). */
     void resetBankState();

@@ -54,8 +54,9 @@ class IdealMem : public MemDevice
 
     void tick(Tick now) override;
     bool busy() const override;
-    void save(checkpoint::Serializer &ser) const override;
-    void restore(checkpoint::Deserializer &des) override;
+    void save(checkpoint::Serializer &ser) const override { ser(*this); }
+    void restore(checkpoint::Deserializer &des) override { des(*this); }
+    template <class Ar> void fields(Ar &ar);
 
     Tick
     nextWakeup(Tick) const override

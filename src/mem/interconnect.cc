@@ -308,94 +308,48 @@ Interconnect::fastForward(Tick from, Tick to)
     }
 }
 
+template <class Ar>
 void
-Interconnect::save(checkpoint::Serializer &ser) const
+Interconnect::fields(Ar &ar)
 {
-    ser.putU64(ports_.size());
-    for (const auto &port : ports_) {
-        ser.putU64(port.requests.size());
-        for (const auto &tr : port.requests) {
-            saveRequest(ser, tr.req);
-            ser.putU64(tr.readyAt);
+    // A queued request or pending response names the port it came
+    // from, and tick() indexes ports_ with it.
+    const auto client = [&](const MemRequest &req) {
+        if constexpr (Ar::loading) {
+            fatal_if(req.client >= ports_.size(),
+                     "checkpoint '%s': bus '%s' holds a message from "
+                     "client %u of %zu", ar.origin().c_str(),
+                     name().c_str(), req.client, ports_.size());
         }
-    }
-    ser.putU64(pendingResponses_.size());
-    for (const auto &tr : pendingResponses_) {
-        saveResponse(ser, tr.resp);
-        ser.putU64(tr.readyAt);
-    }
-    ser.putU64(rrNext_);
-    ser.putDouble(throttleTokens_);
+    };
+    ar.fixed(ports_, [&](Port &port) {
+        ar.list(port.requests, [&](TimedReq &tr) {
+            ar(tr.req, tr.readyAt);
+            client(tr.req);
+        });
+    });
+    ar.list(pendingResponses_, [&](TimedResp &tr) {
+        ar(tr.resp, tr.readyAt);
+        client(tr.resp.req);
+    });
+    ar(rrNext_, throttleTokens_);
     // Group budgets are architectural state (the fleet driver programs
     // them per dispatch), so the full mapping travels with the image.
-    ser.putU64(groups_.size());
-    for (const BudgetGroup &grp : groups_) {
-        ser.putDouble(grp.rate);
-        ser.putDouble(grp.tokens);
-    }
-    for (const unsigned g : clientGroup_) {
-        ser.putU64(g);
-    }
-    for (const auto &s : portRequests_) {
-        checkpoint::putStat(ser, s);
-    }
-    for (const auto &s : portBytes_) {
-        checkpoint::putStat(ser, s);
-    }
-    checkpoint::putStat(ser, throttledGrants_);
-    checkpoint::putStat(ser, groupThrottledGrants_);
-    checkpoint::putStat(ser, busBusy_);
-    checkpoint::putStat(ser, cycles_);
-}
-
-void
-Interconnect::restore(checkpoint::Deserializer &des)
-{
-    const std::uint64_t num_ports = des.getU64();
-    fatal_if(num_ports != ports_.size(),
-             "checkpoint '%s': bus '%s' has %llu clients but this "
-             "configuration has %zu — topologies differ",
-             des.origin().c_str(), name().c_str(),
-             (unsigned long long)num_ports, ports_.size());
-    for (auto &port : ports_) {
-        port.requests.clear();
-        const std::uint64_t depth = des.getU64();
-        for (std::uint64_t i = 0; i < depth; ++i) {
-            TimedReq tr;
-            tr.req = restoreRequest(des);
-            tr.readyAt = des.getU64();
-            port.requests.push_back(tr);
-        }
-    }
-    pendingResponses_.clear();
-    const std::uint64_t num_resp = des.getU64();
-    for (std::uint64_t i = 0; i < num_resp; ++i) {
-        TimedResp tr;
-        tr.resp = restoreResponse(des);
-        tr.readyAt = des.getU64();
-        pendingResponses_.push_back(tr);
-    }
-    rrNext_ = unsigned(des.getU64());
-    throttleTokens_ = des.getDouble();
-    groups_.assign(std::size_t(des.getU64()), BudgetGroup{});
-    for (BudgetGroup &grp : groups_) {
-        grp.rate = des.getDouble();
-        grp.tokens = des.getDouble();
-    }
+    ar.list(groups_, [&](BudgetGroup &grp) { ar(grp.rate, grp.tokens); });
     for (unsigned &g : clientGroup_) {
-        g = unsigned(des.getU64());
+        ar(g);
     }
     for (auto &s : portRequests_) {
-        checkpoint::getStat(des, s);
+        ar(s);
     }
     for (auto &s : portBytes_) {
-        checkpoint::getStat(des, s);
+        ar(s);
     }
-    checkpoint::getStat(des, throttledGrants_);
-    checkpoint::getStat(des, groupThrottledGrants_);
-    checkpoint::getStat(des, busBusy_);
-    checkpoint::getStat(des, cycles_);
+    ar(throttledGrants_, groupThrottledGrants_, busBusy_, cycles_);
 }
+
+template void Interconnect::fields(checkpoint::Serializer &);
+template void Interconnect::fields(checkpoint::Deserializer &);
 
 bool
 Interconnect::busy() const

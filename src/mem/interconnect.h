@@ -111,8 +111,9 @@ class Interconnect : public Clocked, public MemResponder
     CycleClass cycleClass(Tick now) const override;
     Tick classHorizon(Tick now) const override;
     void fastForward(Tick from, Tick to) override;
-    void save(checkpoint::Serializer &ser) const override;
-    void restore(checkpoint::Deserializer &des) override;
+    void save(checkpoint::Serializer &ser) const override { ser(*this); }
+    void restore(checkpoint::Deserializer &des) override { des(*this); }
+    template <class Ar> void fields(Ar &ar);
 
     void resetStats();
 

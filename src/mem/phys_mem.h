@@ -79,6 +79,41 @@ class PhysMem
     /** Restores a previously captured snapshot. */
     void restore(const Snapshot &snap);
 
+    /**
+     * Checkpoint field list (sim/checkpoint.h), shared by the device
+     * checkpoint and the farm snapshot: the memory size, then every
+     * touched page sorted by page number.
+     */
+    template <class Ar>
+    void
+    fields(Ar &ar)
+    {
+        std::uint64_t bytes = size_;
+        ar(bytes);
+        if constexpr (Ar::loading) {
+            fatal_if(bytes != size_,
+                     "checkpoint '%s': physical memory is %llu bytes but "
+                     "this configuration has %llu — configurations "
+                     "differ", ar.origin().c_str(),
+                     (unsigned long long)bytes,
+                     (unsigned long long)size_);
+        }
+        ar.list(pages_, [&](auto &entry) {
+            auto &[num, page] = entry;
+            std::uint64_t len = page ? page->size() : 0;
+            ar(num, len);
+            if constexpr (Ar::loading) {
+                fatal_if(len != pageBytes || num >= size_ / pageBytes,
+                         "checkpoint '%s': page %llu (%llu bytes) does "
+                         "not fit this physical memory",
+                         ar.origin().c_str(), (unsigned long long)num,
+                         (unsigned long long)len);
+                page = std::make_unique<Page>(len);
+            }
+            ar.bytes(page->data(), len);
+        });
+    }
+
   private:
     using Page = std::vector<std::uint8_t>;
 

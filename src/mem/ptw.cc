@@ -214,13 +214,17 @@ Ptw::setPageTable(const PageTable &page_table)
 }
 
 Ptw::WalkCallback
-Ptw::resolveCallback(const std::string &owner, std::uint64_t token,
+Ptw::resolveCallback(unsigned port, std::uint64_t token,
                      const std::string &origin) const
 {
+    fatal_if(port >= ports_.size(),
+             "checkpoint '%s': PTW '%s' walk references port %u of %zu",
+             origin.c_str(), name().c_str(), port, ports_.size());
     fatal_if(!resolver_,
              "checkpoint '%s': PTW '%s' has in-flight walks but no "
              "callback resolver is installed",
              origin.c_str(), name().c_str());
+    const std::string &owner = ports_[port].label;
     WalkCallback cb = resolver_(owner, token);
     fatal_if(!cb,
              "checkpoint '%s': PTW '%s' cannot re-create the walk "
@@ -230,140 +234,61 @@ Ptw::resolveCallback(const std::string &owner, std::uint64_t token,
     return cb;
 }
 
+template <class Ar>
 void
-Ptw::save(checkpoint::Serializer &ser) const
+Ptw::fields(Ar &ar)
 {
-    ser.putU64(ports_.size());
-    for (const auto &pp : ports_) {
-        panic_if(!pp.queue.empty() && pp.label.empty(),
-                 "PTW '%s': cannot checkpoint walk requests issued "
-                 "through an unlabelled port",
-                 name().c_str());
-        ser.putString(pp.label);
-        ser.putU64(pp.queue.size());
-        for (const auto &r : pp.queue) {
-            ser.putU64(r.va);
-            ser.putU64(r.arriveAt);
-            ser.putU64(r.token);
+    // A walk's completion callback is an opaque closure. Its identity
+    // (the issuing port's label and the requester's token) travels
+    // instead, and loading rebuilds the closure through the resolver.
+    const auto callback = [&](unsigned port, std::uint64_t token,
+                              WalkCallback &cb) {
+        if constexpr (Ar::loading) {
+            cb = resolveCallback(port, token, ar.origin());
+        } else {
+            panic_if(ports_[port].label.empty(),
+                     "PTW '%s': cannot checkpoint a walk issued through "
+                     "unlabelled port %u", name().c_str(), port);
         }
+    };
+    ar.fixed(ports_, [&](Port &pp) {
+        std::string label = pp.label;
+        ar(label);
+        if constexpr (Ar::loading) {
+            fatal_if(label != pp.label,
+                     "checkpoint '%s': PTW '%s' port label mismatch "
+                     "('%s' vs '%s')", ar.origin().c_str(),
+                     name().c_str(), label.c_str(), pp.label.c_str());
+        }
+        const auto port = unsigned(&pp - ports_.data());
+        ar.list(pp.queue, [&](WalkRequest &r) {
+            ar(r.va, r.arriveAt, r.token);
+            callback(port, r.token, r.cb);
+        });
+    });
+    ar.list(pendingCallbacks_, [&](PendingCallback &pc) {
+        ar(pc.readyAt, pc.valid, pc.va, pc.pa, pc.pageBits, pc.port,
+           pc.token);
+        callback(pc.port, pc.token, pc.cb);
+    });
+    ar(walking_, awaitingResponse_);
+    if constexpr (Ar::loading) {
+        current_ = {};
+        currentPort_ = 0;
+        walkPlan_ = {};
+        level_ = 0;
     }
-    ser.putU64(pendingCallbacks_.size());
-    for (const auto &pc : pendingCallbacks_) {
-        panic_if(ports_[pc.port].label.empty(),
-                 "PTW '%s': cannot checkpoint a walk callback issued "
-                 "through an unlabelled port",
-                 name().c_str());
-        ser.putU64(pc.readyAt);
-        ser.putBool(pc.valid);
-        ser.putU64(pc.va);
-        ser.putU64(pc.pa);
-        ser.putU64(pc.pageBits);
-        ser.putU64(pc.port);
-        ser.putU64(pc.token);
-    }
-    ser.putBool(walking_);
-    ser.putBool(awaitingResponse_);
     if (walking_) {
-        panic_if(ports_[currentPort_].label.empty(),
-                 "PTW '%s': cannot checkpoint the current walk: it was "
-                 "issued through an unlabelled port",
-                 name().c_str());
-        ser.putU64(current_.va);
-        ser.putU64(currentPort_);
-        ser.putU64(current_.token);
-        ser.putBool(walkPlan_.valid);
-        ser.putU64(walkPlan_.pa);
-        for (const Addr a : walkPlan_.pteAddr) {
-            ser.putU64(a);
-        }
-        ser.putU64(walkPlan_.levels);
-        ser.putU64(walkPlan_.pageBits);
-        ser.putU64(level_);
+        ar(current_.va, currentPort_, current_.token);
+        callback(currentPort_, current_.token, current_.cb);
+        ar(walkPlan_.valid, walkPlan_.pa, walkPlan_.pteAddr,
+           walkPlan_.levels, walkPlan_.pageBits, level_);
     }
-    checkpoint::putStat(ser, walks_);
-    checkpoint::putStat(ser, l2Hits_);
-    checkpoint::putStat(ser, pteFetches_);
-    l2Tlb_.save(ser);
+    ar(walks_, l2Hits_, pteFetches_, l2Tlb_);
 }
 
-void
-Ptw::restore(checkpoint::Deserializer &des)
-{
-    const std::uint64_t num_ports = des.getU64();
-    fatal_if(num_ports != ports_.size(),
-             "checkpoint '%s': PTW '%s' has %zu requester ports, "
-             "checkpoint has %llu",
-             des.origin().c_str(), name().c_str(), ports_.size(),
-             (unsigned long long)num_ports);
-    for (auto &pp : ports_) {
-        const std::string label = des.getString();
-        fatal_if(label != pp.label,
-                 "checkpoint '%s': PTW '%s' port label mismatch "
-                 "('%s' vs '%s')",
-                 des.origin().c_str(), name().c_str(), label.c_str(),
-                 pp.label.c_str());
-        pp.queue.clear();
-        const std::uint64_t num_queued = des.getU64();
-        for (std::uint64_t i = 0; i < num_queued; ++i) {
-            WalkRequest r;
-            r.va = des.getU64();
-            r.arriveAt = des.getU64();
-            r.token = des.getU64();
-            r.cb = resolveCallback(pp.label, r.token, des.origin());
-            pp.queue.push_back(std::move(r));
-        }
-    }
-    pendingCallbacks_.clear();
-    const std::uint64_t num_pending = des.getU64();
-    for (std::uint64_t i = 0; i < num_pending; ++i) {
-        PendingCallback pc;
-        pc.readyAt = des.getU64();
-        pc.valid = des.getBool();
-        pc.va = des.getU64();
-        pc.pa = des.getU64();
-        pc.pageBits = unsigned(des.getU64());
-        pc.port = unsigned(des.getU64());
-        pc.token = des.getU64();
-        fatal_if(pc.port >= ports_.size(),
-                 "checkpoint '%s': PTW '%s' callback references "
-                 "port %u of %zu",
-                 des.origin().c_str(), name().c_str(), pc.port,
-                 ports_.size());
-        pc.cb = resolveCallback(ports_[pc.port].label, pc.token,
-                                des.origin());
-        pendingCallbacks_.push_back(std::move(pc));
-    }
-    walking_ = des.getBool();
-    awaitingResponse_ = des.getBool();
-    current_ = {};
-    currentPort_ = 0;
-    walkPlan_ = {};
-    level_ = 0;
-    if (walking_) {
-        current_.va = des.getU64();
-        currentPort_ = unsigned(des.getU64());
-        current_.token = des.getU64();
-        fatal_if(currentPort_ >= ports_.size(),
-                 "checkpoint '%s': PTW '%s' current walk references "
-                 "port %u of %zu",
-                 des.origin().c_str(), name().c_str(), currentPort_,
-                 ports_.size());
-        current_.cb = resolveCallback(ports_[currentPort_].label,
-                                      current_.token, des.origin());
-        walkPlan_.valid = des.getBool();
-        walkPlan_.pa = des.getU64();
-        for (auto &a : walkPlan_.pteAddr) {
-            a = des.getU64();
-        }
-        walkPlan_.levels = unsigned(des.getU64());
-        walkPlan_.pageBits = unsigned(des.getU64());
-        level_ = unsigned(des.getU64());
-    }
-    checkpoint::getStat(des, walks_);
-    checkpoint::getStat(des, l2Hits_);
-    checkpoint::getStat(des, pteFetches_);
-    l2Tlb_.restore(des);
-}
+template void Ptw::fields(checkpoint::Serializer &);
+template void Ptw::fields(checkpoint::Deserializer &);
 
 void
 Ptw::resetStats()

@@ -115,8 +115,9 @@ class Ptw : public Clocked, public MemResponder
     Tick nextWakeup(Tick now) const override;
     CycleClass cycleClass(Tick now) const override;
     Tick classHorizon(Tick) const override { return maxTick; }
-    void save(checkpoint::Serializer &ser) const override;
-    void restore(checkpoint::Deserializer &des) override;
+    void save(checkpoint::Serializer &ser) const override { ser(*this); }
+    void restore(checkpoint::Deserializer &des) override { des(*this); }
+    template <class Ar> void fields(Ar &ar);
 
     /** The shared second-level TLB (flush between phases). */
     TlbArray &l2Tlb() { return l2Tlb_; }
@@ -181,8 +182,7 @@ class Ptw : public Clocked, public MemResponder
     bool anyQueued() const;
 
     /** Rebuilds a callback from its saved identity via the resolver. */
-    WalkCallback resolveCallback(const std::string &owner,
-                                 std::uint64_t token,
+    WalkCallback resolveCallback(unsigned port, std::uint64_t token,
                                  const std::string &origin) const;
 
     PtwParams params_;

@@ -323,99 +323,28 @@ TimedCache::cycleClass(Tick now) const
     return CycleClass::StallDram; // Only fills/write-backs in flight.
 }
 
+template <class Ar>
 void
-TimedCache::save(checkpoint::Serializer &ser) const
+TimedCache::fields(Ar &ar)
 {
-    tags_.save(ser);
-    ser.putU64(ports_.size());
-    for (const auto &p : ports_) {
-        ser.putU64(p->queue.size());
-        for (const auto &req : p->queue) {
-            saveRequest(ser, req);
-        }
-        ser.putU64(p->numRequests);
-    }
-    ser.putU64(mshrs_.size());
-    for (const auto &m : mshrs_) {
-        ser.putBool(m.valid);
-        ser.putU64(m.lineAddr);
-        ser.putU64(m.targets.size());
-        for (const auto &[port, req] : m.targets) {
-            ser.putU64(port);
-            saveRequest(ser, req);
-        }
-    }
-    ser.putU64(writebackQueue_.size());
-    for (const Addr a : writebackQueue_) {
-        ser.putU64(a);
-    }
-    ser.putU64(dueResponses_.size());
-    for (const auto &due : dueResponses_) {
-        saveResponse(ser, due.resp);
-        ser.putU64(due.port);
-        ser.putU64(due.readyAt);
-    }
-    ser.putU64(rrNext_);
-    ser.putU64(outstandingWritebacks_);
-    checkpoint::putStat(ser, hits_);
-    checkpoint::putStat(ser, misses_);
-    checkpoint::putStat(ser, writebacks_);
+    ar(tags_);
+    ar.fixed(ports_, [&](auto &p) {
+        ar.list(p->queue);
+        ar(p->numRequests);
+    });
+    ar.fixed(mshrs_, [&](Mshr &m) {
+        ar(m.valid, m.lineAddr);
+        ar.list(m.targets);
+    });
+    ar.list(writebackQueue_);
+    ar.list(dueResponses_, [&](DueResponse &due) {
+        ar(due.resp, due.port, due.readyAt);
+    });
+    ar(rrNext_, outstandingWritebacks_, hits_, misses_, writebacks_);
 }
 
-void
-TimedCache::restore(checkpoint::Deserializer &des)
-{
-    tags_.restore(des);
-    const std::uint64_t num_ports = des.getU64();
-    fatal_if(num_ports != ports_.size(),
-             "checkpoint '%s': cache '%s' has %llu ports but this "
-             "configuration has %zu — topologies differ",
-             des.origin().c_str(), name().c_str(),
-             (unsigned long long)num_ports, ports_.size());
-    for (auto &p : ports_) {
-        p->queue.clear();
-        const std::uint64_t depth = des.getU64();
-        for (std::uint64_t i = 0; i < depth; ++i) {
-            p->queue.push_back(restoreRequest(des));
-        }
-        p->numRequests = des.getU64();
-    }
-    const std::uint64_t num_mshrs = des.getU64();
-    fatal_if(num_mshrs != mshrs_.size(),
-             "checkpoint '%s': cache '%s' has %llu MSHRs but this "
-             "configuration has %zu — configurations differ",
-             des.origin().c_str(), name().c_str(),
-             (unsigned long long)num_mshrs, mshrs_.size());
-    for (auto &m : mshrs_) {
-        m.valid = des.getBool();
-        m.lineAddr = des.getU64();
-        m.targets.clear();
-        const std::uint64_t num_targets = des.getU64();
-        for (std::uint64_t i = 0; i < num_targets; ++i) {
-            const unsigned port = unsigned(des.getU64());
-            m.targets.emplace_back(port, restoreRequest(des));
-        }
-    }
-    writebackQueue_.clear();
-    const std::uint64_t num_wb = des.getU64();
-    for (std::uint64_t i = 0; i < num_wb; ++i) {
-        writebackQueue_.push_back(des.getU64());
-    }
-    dueResponses_.clear();
-    const std::uint64_t num_due = des.getU64();
-    for (std::uint64_t i = 0; i < num_due; ++i) {
-        DueResponse due;
-        due.resp = restoreResponse(des);
-        due.port = unsigned(des.getU64());
-        due.readyAt = des.getU64();
-        dueResponses_.push_back(due);
-    }
-    rrNext_ = unsigned(des.getU64());
-    outstandingWritebacks_ = unsigned(des.getU64());
-    checkpoint::getStat(des, hits_);
-    checkpoint::getStat(des, misses_);
-    checkpoint::getStat(des, writebacks_);
-}
+template void TimedCache::fields(checkpoint::Serializer &);
+template void TimedCache::fields(checkpoint::Deserializer &);
 
 void
 TimedCache::resetStats()

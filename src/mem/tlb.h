@@ -15,7 +15,7 @@
 #include <optional>
 #include <vector>
 
-#include "sim/checkpoint.h"
+#include "sim/logging.h"
 #include "sim/stats.h"
 #include "sim/types.h"
 
@@ -121,44 +121,21 @@ class TlbArray
 
     const std::string &name() const { return name_; }
 
-    /** Serializes the translation array and hit/miss statistics. */
+    /** Checkpoint field list: translations and hit/miss statistics. */
+    template <class Ar>
     void
-    save(checkpoint::Serializer &ser) const
+    fields(Ar &ar)
     {
-        ser.putU64(useCounter_);
-        ser.putU64(slots_.size());
-        for (const auto &e : slots_) {
-            ser.putU64(e.vpage);
-            ser.putU64(e.ppage);
-            ser.putU64(e.pageBits);
-            ser.putU64(e.lastUse);
+        ar(useCounter_);
+        ar.list(slots_);
+        if constexpr (Ar::loading) {
+            fatal_if(slots_.size() > entries_,
+                     "checkpoint '%s': TLB '%s' holds %zu entries but has "
+                     "capacity %u — configurations differ",
+                     ar.origin().c_str(), name_.c_str(), slots_.size(),
+                     entries_);
         }
-        checkpoint::putStat(ser, hits_);
-        checkpoint::putStat(ser, misses_);
-    }
-
-    void
-    restore(checkpoint::Deserializer &des)
-    {
-        useCounter_ = des.getU64();
-        const std::uint64_t count = des.getU64();
-        fatal_if(count > entries_,
-                 "checkpoint '%s': TLB '%s' holds %llu entries but has "
-                 "capacity %u — configurations differ",
-                 des.origin().c_str(), name_.c_str(),
-                 (unsigned long long)count, entries_);
-        slots_.clear();
-        slots_.reserve(std::size_t(count));
-        for (std::uint64_t i = 0; i < count; ++i) {
-            Entry e;
-            e.vpage = des.getU64();
-            e.ppage = des.getU64();
-            e.pageBits = unsigned(des.getU64());
-            e.lastUse = des.getU64();
-            slots_.push_back(e);
-        }
-        checkpoint::getStat(des, hits_);
-        checkpoint::getStat(des, misses_);
+        ar(hits_, misses_);
     }
 
   private:
@@ -168,6 +145,13 @@ class TlbArray
         Addr ppage = 0;
         unsigned pageBits = 12;
         std::uint64_t lastUse = 0;
+
+        template <class Ar>
+        void
+        fields(Ar &ar)
+        {
+            ar(vpage, ppage, pageBits, lastUse);
+        }
     };
 
     std::string name_;

@@ -29,7 +29,6 @@
 #include "runtime/heap_layout.h"
 #include "runtime/object_model.h"
 #include "runtime/size_class.h"
-#include "sim/checkpoint.h"
 
 namespace hwgc::runtime
 {
@@ -222,18 +221,17 @@ class Heap
      *
      * Unlike a device checkpoint — which captures mid-phase
      * architectural state and is bound to one accelerator
-     * configuration — this pair serializes only the runtime's view of
+     * configuration — this list covers only the runtime's view of
      * the heap (block registry, allocation cursors, roots, object
      * table). Together with the PhysMem image it reconstructs a warm
      * heap into a *freshly built* simulation of any configuration,
      * which is what lets the what-if farm fork one snapshot across a
      * config grid. The caller restores the PhysMem image separately;
-     * restore() must run on a Heap constructed with identical
+     * loading must run on a Heap constructed with identical
      * HeapParams (fingerprint-checked).
      * @{
      */
-    void save(checkpoint::Serializer &ser) const;
-    void restore(checkpoint::Deserializer &des);
+    template <class Ar> void fields(Ar &ar);
     /** @} */
 
   private:

@@ -19,6 +19,31 @@
  * different config, an added field, a reordered component — is a
  * fatal() with a precise message, never a corrupted resume.
  *
+ * Every checkpointed type names its state once, in a public
+ *
+ *   template <class Ar> void fields(Ar &ar);
+ *
+ * that Serializer (saving) and Deserializer (loading) both walk. The
+ * archive knows a closed set of values:
+ *
+ *   - integral, enum and bool values, stored as u64 (loading a value
+ *     that does not fit the field's type is fatal); double as its
+ *     bits; std::string as its length and bytes;
+ *   - std::array (its elements), std::pair, std::optional (a presence
+ *     flag, then the value), and any type with a fields() of its own
+ *     (statistics, Rng, PhysMem, request messages, components);
+ *   - containers, in one of two forms: fixed() for config-sized ones
+ *     (the length is written and checked on load) and list() for
+ *     variable ones (the length is written; loading clears and
+ *     refills). list() writes unordered maps sorted by key and
+ *     priority queues in pop order, so a given state always produces
+ *     the same bytes.
+ *
+ * Ar::loading is a constant expression, so restore-only work (range
+ * checks, callback re-resolution, cache invalidation) sits beside its
+ * fields under `if constexpr`. A Clocked component's save()/restore()
+ * overrides just hand `*this` to the archive.
+ *
  * Determinism argument: serialization only happens between cycles
  * (never mid-tick), where the kernel's transient state (the event
  * kernel's due mask) is provably empty, and the
@@ -33,17 +58,21 @@
 #define HWGC_SIM_CHECKPOINT_H
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <optional>
+#include <queue>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include <unistd.h>
 
 #include "sim/logging.h"
-#include "sim/random.h"
-#include "sim/stats.h"
 
 namespace hwgc::checkpoint
 {
@@ -53,10 +82,37 @@ inline constexpr char magic[8] = {'H', 'W', 'G', 'C',
                                   'C', 'K', 'P', 'T'};
 inline constexpr std::uint32_t formatVersion = 3;
 
+namespace detail
+{
+
+template <class T> inline constexpr bool isArray = false;
+template <class T, std::size_t N>
+inline constexpr bool isArray<std::array<T, N>> = true;
+
+template <class T> inline constexpr bool isPair = false;
+template <class A, class B>
+inline constexpr bool isPair<std::pair<A, B>> = true;
+
+template <class T> inline constexpr bool isOptional = false;
+template <class T>
+inline constexpr bool isOptional<std::optional<T>> = true;
+
+template <class T> inline constexpr bool isPriorityQueue = false;
+template <class T, class C, class Cmp>
+inline constexpr bool isPriorityQueue<std::priority_queue<T, C, Cmp>> =
+    true;
+
+template <class C>
+concept Map = requires { typename C::mapped_type; };
+
+} // namespace detail
+
 /** Serializes state into the chunked checkpoint image. */
 class Serializer
 {
   public:
+    static constexpr bool loading = false;
+
     Serializer()
     {
         buf_.append(magic, sizeof(magic));
@@ -88,34 +144,86 @@ class Serializer
         chunkStart_ = npos;
     }
 
+    /** Writes each of @p vs (see the value set in the file comment). */
+    template <class... Ts>
     void
-    putU64(std::uint64_t v)
+    operator()(const Ts &...vs)
     {
-        panic_if(chunkStart_ == npos,
-                 "checkpoint: put outside a chunk");
-        rawU64(v);
+        (put(vs), ...);
     }
 
-    void putI64(std::int64_t v) { putU64(std::uint64_t(v)); }
-    void putBool(bool v) { putU64(v ? 1 : 0); }
-
+    /** Writes @p vs as the whole payload of chunk @p name. */
+    template <class... Ts>
     void
-    putDouble(double v)
+    chunk(const std::string &name, const Ts &...vs)
     {
-        std::uint64_t bits;
-        std::memcpy(&bits, &v, sizeof(bits));
-        putU64(bits);
+        beginChunk(name);
+        (put(vs), ...);
+        endChunk();
     }
 
+    /** A config-sized container: its length, then every element. */
+    template <class C>
     void
-    putString(const std::string &s)
+    fixed(C &c)
     {
-        putU64(s.size());
-        buf_.append(s);
+        fixed(c, [this](auto &e) { put(e); });
     }
 
+    template <class C, class F>
     void
-    putBytes(const void *data, std::size_t len)
+    fixed(C &c, F &&each)
+    {
+        putU64(c.size());
+        for (auto &e : c) {
+            each(e);
+        }
+    }
+
+    /**
+     * A variable container: its length, then every element in a
+     * canonical order: unordered maps sorted by key, priority queues
+     * in pop order.
+     */
+    template <class C>
+    void
+    list(C &c)
+    {
+        list(c, [this](auto &e) { put(e); });
+    }
+
+    template <class C, class F>
+    void
+    list(C &c, F &&each)
+    {
+        putU64(c.size());
+        if constexpr (detail::isPriorityQueue<std::remove_cv_t<C>>) {
+            auto copy = c;
+            while (!copy.empty()) {
+                auto e = copy.top();
+                each(e);
+                copy.pop();
+            }
+        } else if constexpr (detail::Map<C>) {
+            std::vector<decltype(&*c.begin())> sorted;
+            for (auto &e : c) {
+                sorted.push_back(&e);
+            }
+            std::sort(sorted.begin(), sorted.end(),
+                      [](auto *a, auto *b) { return a->first < b->first; });
+            for (auto *e : sorted) {
+                each(*e);
+            }
+        } else {
+            for (auto &e : c) {
+                each(e);
+            }
+        }
+    }
+
+    /** A byte blob: its length, then the raw bytes. */
+    void
+    bytes(const void *data, std::size_t len)
     {
         putU64(len);
         buf_.append(static_cast<const char *>(data), len);
@@ -159,6 +267,45 @@ class Serializer
     static constexpr std::size_t npos = std::size_t(-1);
 
     void
+    putU64(std::uint64_t v)
+    {
+        panic_if(chunkStart_ == npos,
+                 "checkpoint: put outside a chunk");
+        rawU64(v);
+    }
+
+    template <class T>
+    void
+    put(const T &v)
+    {
+        if constexpr (std::is_integral_v<T> || std::is_enum_v<T>) {
+            putU64(std::uint64_t(v));
+        } else if constexpr (std::is_same_v<T, double>) {
+            putU64(std::bit_cast<std::uint64_t>(v));
+        } else if constexpr (std::is_same_v<T, std::string>) {
+            bytes(v.data(), v.size());
+        } else if constexpr (detail::isArray<T>) {
+            for (const auto &e : v) {
+                put(e);
+            }
+        } else if constexpr (detail::isPair<T>) {
+            put(v.first);
+            put(v.second);
+        } else if constexpr (detail::isOptional<T>) {
+            put(v.has_value());
+            if (v) {
+                put(*v);
+            }
+        } else if constexpr (requires(T &m) { m.fields(*this); }) {
+            // fields() is one non-const list shared with loading;
+            // saving only reads through it.
+            const_cast<T &>(v).fields(*this);
+        } else {
+            v.save(*this); // A Clocked component, dispatched virtually.
+        }
+    }
+
+    void
     rawU32(std::uint32_t v)
     {
         for (unsigned i = 0; i < 4; ++i) {
@@ -169,9 +316,11 @@ class Serializer
     void
     rawU64(std::uint64_t v)
     {
+        char bytes[8];
         for (unsigned i = 0; i < 8; ++i) {
-            buf_.push_back(char((v >> (8 * i)) & 0xff));
+            bytes[i] = char((v >> (8 * i)) & 0xff);
         }
+        buf_.append(bytes, sizeof(bytes));
     }
 
     std::string buf_;
@@ -181,12 +330,15 @@ class Serializer
 /**
  * Reads a checkpoint image back. Every accessor validates bounds and
  * every structural mismatch (magic, version, chunk name, chunk
- * length) is a fatal() naming the offending file — a corrupt
- * checkpoint is rejected, never silently mis-restored.
+ * length, container size, a value too wide for its field) is a
+ * fatal() naming the offending file — a corrupt checkpoint is
+ * rejected, never silently mis-restored.
  */
 class Deserializer
 {
   public:
+    static constexpr bool loading = true;
+
     /** Parses @p data as a checkpoint image (header validated). */
     explicit Deserializer(std::string data, std::string origin = "<memory>")
         : buf_(std::move(data)), origin_(std::move(origin))
@@ -238,6 +390,7 @@ class Deserializer
                  origin_.c_str(), name.c_str(),
                  (unsigned long long)len, buf_.size() - pos_);
         chunkEnd_ = pos_ + len;
+        chunk_ = name;
     }
 
     /** Closes the current chunk; trailing unread bytes are fatal. */
@@ -254,52 +407,89 @@ class Deserializer
         chunkEnd_ = npos;
     }
 
-    std::uint64_t
-    getU64()
+    /** Reads each of @p vs (see the value set in the file comment). */
+    template <class... Ts>
+    void
+    operator()(Ts &...vs)
     {
-        fatal_if(chunkEnd_ == npos,
-                 "checkpoint '%s': get outside a chunk",
-                 origin_.c_str());
-        fatal_if(pos_ + 8 > chunkEnd_,
-                 "checkpoint '%s': read past chunk end",
-                 origin_.c_str());
-        return rawU64();
+        (get(vs), ...);
     }
 
-    std::int64_t getI64() { return std::int64_t(getU64()); }
-    bool getBool() { return getU64() != 0; }
-
-    double
-    getDouble()
+    /** Reads @p vs as the whole payload of chunk @p name. */
+    template <class... Ts>
+    void
+    chunk(const std::string &name, Ts &...vs)
     {
-        const std::uint64_t bits = getU64();
-        double v;
-        std::memcpy(&v, &bits, sizeof(v));
-        return v;
+        beginChunk(name);
+        (get(vs), ...);
+        endChunk();
     }
 
-    std::string
-    getString()
+    /** A config-sized container: the stored length must match. */
+    template <class C>
+    void
+    fixed(C &c)
     {
-        const std::uint64_t len = getU64();
-        fatal_if(pos_ + len > chunkEnd_,
-                 "checkpoint '%s': string runs past chunk end",
-                 origin_.c_str());
-        std::string s = buf_.substr(pos_, len);
-        pos_ += len;
-        return s;
+        fixed(c, [this](auto &e) { get(e); });
+    }
+
+    template <class C, class F>
+    void
+    fixed(C &c, F &&each)
+    {
+        const std::uint64_t n = getU64();
+        fatal_if(n != c.size(),
+                 "checkpoint '%s': chunk '%s' holds %llu entries where "
+                 "this configuration has %zu — configurations differ",
+                 origin_.c_str(), chunk_.c_str(), (unsigned long long)n,
+                 std::size_t(c.size()));
+        for (auto &e : c) {
+            each(e);
+        }
+    }
+
+    /** A variable container: cleared, then refilled from the file. */
+    template <class C>
+    void
+    list(C &c)
+    {
+        list(c, [this](auto &e) { get(e); });
+    }
+
+    template <class C, class F>
+    void
+    list(C &c, F &&each)
+    {
+        const std::uint64_t n = getU64();
+        c = C{};
+        for (std::uint64_t i = 0; i < n; ++i) {
+            if constexpr (detail::isPriorityQueue<C>) {
+                typename C::value_type e{};
+                each(e);
+                c.push(std::move(e));
+            } else if constexpr (detail::Map<C>) {
+                std::pair<typename C::key_type, typename C::mapped_type>
+                    e{};
+                each(e);
+                fatal_if(!c.emplace(std::move(e)).second,
+                         "checkpoint '%s': chunk '%s' repeats a map key",
+                         origin_.c_str(), chunk_.c_str());
+            } else {
+                each(c.emplace_back());
+            }
+        }
     }
 
     /** Reads a byte blob; its recorded length must equal @p len. */
     void
-    getBytes(void *dst, std::size_t len)
+    bytes(void *dst, std::size_t len)
     {
         const std::uint64_t stored = getU64();
         fatal_if(stored != len,
                  "checkpoint '%s': byte blob of %llu bytes where %zu "
                  "were expected", origin_.c_str(),
                  (unsigned long long)stored, len);
-        fatal_if(pos_ + len > chunkEnd_,
+        fatal_if(len > chunkEnd_ - pos_,
                  "checkpoint '%s': blob runs past chunk end",
                  origin_.c_str());
         std::memcpy(dst, buf_.data() + pos_, len);
@@ -307,43 +497,6 @@ class Deserializer
     }
 
     bool atEnd() const { return pos_ >= buf_.size(); }
-
-    /**
-     * Name of the next chunk without consuming it, or "" at end of
-     * file. Lets readers of multi-consumer images (the farm snapshot)
-     * branch on what was saved instead of hard-coding one topology.
-     */
-    std::string
-    peekChunkName()
-    {
-        fatal_if(chunkEnd_ != npos,
-                 "checkpoint '%s': peekChunkName() inside a chunk",
-                 origin_.c_str());
-        if (atEnd()) {
-            return "";
-        }
-        const std::size_t saved = pos_;
-        std::string name = chunkName();
-        pos_ = saved;
-        return name;
-    }
-
-    /** Skips the next chunk wholesale (bounds still validated). */
-    void
-    skipChunk()
-    {
-        fatal_if(chunkEnd_ != npos,
-                 "checkpoint '%s': skipChunk() inside a chunk",
-                 origin_.c_str());
-        fatal_if(atEnd(), "checkpoint '%s': skipChunk() at end of file",
-                 origin_.c_str());
-        const std::string name = chunkName();
-        const std::uint64_t len = rawU64();
-        fatal_if(len > buf_.size() - pos_,
-                 "checkpoint '%s': chunk '%s' truncated",
-                 origin_.c_str(), name.c_str());
-        pos_ += len;
-    }
 
     const std::string &origin() const { return origin_; }
 
@@ -375,6 +528,79 @@ class Deserializer
 
   private:
     static constexpr std::size_t npos = std::size_t(-1);
+
+    std::uint64_t
+    getU64()
+    {
+        fatal_if(chunkEnd_ == npos,
+                 "checkpoint '%s': get outside a chunk",
+                 origin_.c_str());
+        fatal_if(pos_ + 8 > chunkEnd_,
+                 "checkpoint '%s': read past chunk end",
+                 origin_.c_str());
+        return rawU64();
+    }
+
+    template <class T>
+    void
+    get(T &v)
+    {
+        if constexpr (std::is_enum_v<T>) {
+            std::underlying_type_t<T> u;
+            get(u);
+            v = T(u);
+        } else if constexpr (std::is_integral_v<T>) {
+            v = fitted<T>(getU64());
+        } else if constexpr (std::is_same_v<T, double>) {
+            v = std::bit_cast<double>(getU64());
+        } else if constexpr (std::is_same_v<T, std::string>) {
+            const std::uint64_t len = getU64();
+            fatal_if(len > chunkEnd_ - pos_,
+                     "checkpoint '%s': string runs past chunk end",
+                     origin_.c_str());
+            v.assign(buf_, pos_, len);
+            pos_ += len;
+        } else if constexpr (detail::isArray<T>) {
+            for (auto &e : v) {
+                get(e);
+            }
+        } else if constexpr (detail::isPair<T>) {
+            get(v.first);
+            get(v.second);
+        } else if constexpr (detail::isOptional<T>) {
+            bool present;
+            get(present);
+            v.reset();
+            if (present) {
+                get(v.emplace());
+            }
+        } else if constexpr (requires { v.fields(*this); }) {
+            v.fields(*this);
+        } else {
+            v.restore(*this); // A Clocked component, dispatched virtually.
+        }
+    }
+
+    /** @p raw as a T; a value that does not fit is fatal. */
+    template <class T>
+    T
+    fitted(std::uint64_t raw)
+    {
+        bool fits;
+        if constexpr (std::is_same_v<T, bool>) {
+            fits = raw <= 1;
+        } else if constexpr (std::is_signed_v<T>) {
+            fits = std::in_range<T>(std::int64_t(raw));
+        } else {
+            fits = std::in_range<T>(raw);
+        }
+        fatal_if(!fits,
+                 "checkpoint '%s': chunk '%s' holds %#llx, which does not "
+                 "fit its %zu-byte field — corrupt or mismatched file",
+                 origin_.c_str(), chunk_.c_str(), (unsigned long long)raw,
+                 sizeof(T));
+        return T(raw);
+    }
 
     static std::string
     readFileOrDie(const std::string &path)
@@ -432,173 +658,10 @@ class Deserializer
 
     std::string buf_;
     std::string origin_;
+    std::string chunk_; //!< The open (or last) chunk, for messages.
     std::size_t pos_ = 0;
     std::size_t chunkEnd_ = npos;
 };
-
-/** @name Statistics serialization helpers @{ */
-
-inline void
-putStat(Serializer &ser, const stats::Scalar &s)
-{
-    ser.putU64(s.value());
-}
-
-inline void
-getStat(Deserializer &des, stats::Scalar &s)
-{
-    s.set(des.getU64());
-}
-
-inline void
-putStat(Serializer &ser, const stats::Vector &v)
-{
-    ser.putU64(v.size());
-    for (std::size_t i = 0; i < v.size(); ++i) {
-        ser.putU64(v.value(i));
-    }
-}
-
-inline void
-getStat(Deserializer &des, stats::Vector &v)
-{
-    const std::uint64_t n = des.getU64();
-    fatal_if(n != v.size(), "checkpoint '%s': stats::Vector '%s' has "
-             "%zu entries, file has %llu", des.origin().c_str(),
-             v.name().c_str(), v.size(), (unsigned long long)n);
-    for (std::size_t i = 0; i < v.size(); ++i) {
-        v.setValue(i, des.getU64());
-    }
-}
-
-inline void
-putStat(Serializer &ser, const stats::Histogram &h)
-{
-    ser.putU64(h.count());
-    ser.putU64(h.sum());
-    ser.putU64(h.minValue());
-    ser.putU64(h.maxValue());
-    ser.putU64(h.buckets().size());
-    for (const std::uint64_t b : h.buckets()) {
-        ser.putU64(b);
-    }
-}
-
-inline void
-getStat(Deserializer &des, stats::Histogram &h)
-{
-    const std::uint64_t count = des.getU64();
-    const std::uint64_t sum = des.getU64();
-    const std::uint64_t min = des.getU64();
-    const std::uint64_t max = des.getU64();
-    const std::uint64_t n = des.getU64();
-    fatal_if(n != h.buckets().size(),
-             "checkpoint '%s': stats::Histogram '%s' has %zu buckets, "
-             "file has %llu", des.origin().c_str(), h.name().c_str(),
-             h.buckets().size(), (unsigned long long)n);
-    std::vector<std::uint64_t> buckets(n);
-    for (auto &b : buckets) {
-        b = des.getU64();
-    }
-    h.restore(count, sum, min, max, buckets);
-}
-
-inline void
-putStat(Serializer &ser, const stats::TimeSeries &t)
-{
-    ser.putU64(t.buckets().size());
-    for (const std::uint64_t b : t.buckets()) {
-        ser.putU64(b);
-    }
-}
-
-inline void
-getStat(Deserializer &des, stats::TimeSeries &t)
-{
-    std::vector<std::uint64_t> buckets(des.getU64());
-    for (auto &b : buckets) {
-        b = des.getU64();
-    }
-    t.setBuckets(std::move(buckets));
-}
-
-/** @} */
-
-/** @name RNG stream serialization @{ */
-
-inline void
-putRng(Serializer &ser, const Rng &rng)
-{
-    for (unsigned i = 0; i < 4; ++i) {
-        ser.putU64(rng.stateWord(i));
-    }
-}
-
-inline void
-getRng(Deserializer &des, Rng &rng)
-{
-    for (unsigned i = 0; i < 4; ++i) {
-        rng.setStateWord(i, des.getU64());
-    }
-}
-
-/** @} */
-
-/**
- * @name Functional-memory image serialization
- *
- * Shared by the device checkpoint and the farm snapshot: pages are
- * written sorted so the file is byte-stable (PhysMem iterates an
- * unordered map). Templated on the memory type to keep sim/ free of a
- * mem/ dependency; any type with size(), snapshot() and
- * restore(Snapshot) works.
- * @{
- */
-
-template <typename PhysMemT>
-void
-putPhysMem(Serializer &ser, const PhysMemT &mem)
-{
-    const auto snap = mem.snapshot();
-    std::vector<std::uint64_t> page_nums;
-    page_nums.reserve(snap.pages.size());
-    for (const auto &[num, data] : snap.pages) {
-        page_nums.push_back(num);
-    }
-    std::sort(page_nums.begin(), page_nums.end());
-    ser.putU64(mem.size());
-    ser.putU64(page_nums.size());
-    for (const std::uint64_t num : page_nums) {
-        const auto &data = snap.pages.at(num);
-        ser.putU64(num);
-        ser.putU64(data.size());
-        ser.putBytes(data.data(), data.size());
-    }
-}
-
-template <typename PhysMemT>
-void
-getPhysMem(Deserializer &des, PhysMemT &mem)
-{
-    const std::uint64_t mem_size = des.getU64();
-    fatal_if(mem_size != mem.size(),
-             "checkpoint '%s': physical memory is %llu bytes but this "
-             "configuration has %llu — configurations differ",
-             des.origin().c_str(), (unsigned long long)mem_size,
-             (unsigned long long)mem.size());
-    typename PhysMemT::Snapshot snap;
-    const std::uint64_t num_pages = des.getU64();
-    for (std::uint64_t i = 0; i < num_pages; ++i) {
-        const std::uint64_t num = des.getU64();
-        const std::uint64_t bytes = des.getU64();
-        std::vector<std::uint8_t> data(bytes);
-        des.getBytes(data.data(), data.size());
-        snap.pages.emplace(num, std::move(data));
-    }
-    mem.restore(snap);
-}
-
-/** @} */
 
 /**
  * Collision-safe crash-artifact base: "<out>.crash.<pid>[.<tag>]".

@@ -33,6 +33,7 @@
 #include <utility>
 #include <vector>
 
+#include "sim/checkpoint.h"
 #include "sim/cycle_class.h"
 #include "sim/logging.h"
 #include "sim/types.h"
@@ -42,11 +43,6 @@ namespace hwgc
 
 class System;
 
-namespace checkpoint
-{
-class Serializer;
-class Deserializer;
-} // namespace checkpoint
 
 /** Kernel selection for System (see file header). */
 enum class KernelMode
@@ -217,13 +213,23 @@ class Clocked
      * registers, queues, in-flight bookkeeping and statistics — into
      * an already-open checkpoint chunk. Only legal at an inter-cycle
      * boundary (never mid-tick). The default implementation panics:
-     * every component registered with a checkpointed System must
-     * override both save() and restore() (defined in checkpoint.cc).
+     * every component registered with a checkpointed System overrides
+     * both with a walk of its fields() (sim/checkpoint.h).
      */
-    virtual void save(checkpoint::Serializer &ser) const;
+    virtual void
+    save(checkpoint::Serializer &) const
+    {
+        panic("component '%s' does not support checkpointing",
+              name_.c_str());
+    }
 
     /** Restores state written by save(); layout mismatches fatal(). */
-    virtual void restore(checkpoint::Deserializer &des);
+    virtual void
+    restore(checkpoint::Deserializer &)
+    {
+        panic("component '%s' does not support checkpointing",
+              name_.c_str());
+    }
 
     const std::string &name() const { return name_; }
 
@@ -564,18 +570,37 @@ class System
     }
 
     /**
-     * Serializes the kernel state (clock, executed-cycle count, the
-     * scheduled-wakeup queue, the due mask) into an open chunk. The
-     * wakeup caches are deliberately *not* serialized: nextWakeup()
-     * is a pure function of component state and every run entry point
-     * marks all caches stale, so restore() rebuilds them exactly.
+     * Checkpoint field list of the kernel state: the clock, the
+     * executed-cycle count, the due mask and the scheduled-wakeup
+     * queue. The wakeup caches are deliberately *not* in it:
+     * nextWakeup() is a pure function of component state, so loading
+     * marks every cache stale and the next run rebuilds them exactly.
      * Kernel mode is a host-execution knob, not architectural state —
-     * a checkpoint saved under one kernel restores under the other. Defined in checkpoint.cc.
+     * a checkpoint saved under one kernel restores under the other.
      */
-    void save(checkpoint::Serializer &ser) const;
-
-    /** Restores kernel state written by save(). */
-    void restore(checkpoint::Deserializer &des);
+    template <class Ar>
+    void
+    fields(Ar &ar)
+    {
+        ar(now_, executedCycles_, dueMask_);
+        ar.list(scheduled_, [&](ScheduledTick &wakeup) {
+            ar(wakeup);
+            if constexpr (Ar::loading) {
+                fatal_if(wakeup.second >= components_.size(),
+                         "checkpoint '%s': scheduled wakeup for component "
+                         "%zu but only %zu are registered",
+                         ar.origin().c_str(), wakeup.second,
+                         components_.size());
+            }
+        });
+        if constexpr (Ar::loading) {
+            // Every cached wakeup and profiler class is stale; the run
+            // entry points also set this, but restoring directly into
+            // a paused System must not depend on that.
+            invalidateAll();
+            std::fill(wake_.begin(), wake_.end(), maxTick);
+        }
+    }
 
   private:
     /** Marks every wakeup cache stale and every component touched. */

@@ -11,6 +11,7 @@
 #ifndef HWGC_SIM_RANDOM_H
 #define HWGC_SIM_RANDOM_H
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -122,21 +123,8 @@ class Rng
         return lo;
     }
 
-    /** @name Checkpointing accessors for the four state words @{ */
-    std::uint64_t
-    stateWord(unsigned i) const
-    {
-        panic_if(i >= 4, "Rng::stateWord(%u)", i);
-        return state_[i];
-    }
-
-    void
-    setStateWord(unsigned i, std::uint64_t v)
-    {
-        panic_if(i >= 4, "Rng::setStateWord(%u)", i);
-        state_[i] = v;
-    }
-    /** @} */
+    /** Checkpoint field list: the four state words. */
+    template <class Ar> void fields(Ar &ar) { ar(state_); }
 
   private:
     static std::uint64_t
@@ -145,7 +133,7 @@ class Rng
         return (x << k) | (x >> (64 - k));
     }
 
-    std::uint64_t state_[4];
+    std::array<std::uint64_t, 4> state_;
 };
 
 } // namespace hwgc

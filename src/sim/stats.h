@@ -42,6 +42,9 @@ class Scalar
     std::uint64_t value() const { return value_; }
     const std::string &name() const { return name_; }
 
+    /** Checkpoint field list (sim/checkpoint.h). */
+    template <class Ar> void fields(Ar &ar) { ar(value_); }
+
   private:
     std::string name_;
     std::uint64_t value_ = 0;
@@ -67,15 +70,6 @@ class Vector
 
     void reset() { values_.assign(values_.size(), 0); }
 
-    /** Overwrites one sub-counter (checkpoint restore). */
-    void
-    setValue(std::size_t idx, std::uint64_t v)
-    {
-        panic_if(idx >= values_.size(), "stats::Vector index %zu out of "
-                 "range for '%s'", idx, name_.c_str());
-        values_[idx] = v;
-    }
-
     std::uint64_t value(std::size_t idx) const { return values_.at(idx); }
 
     std::uint64_t
@@ -91,6 +85,8 @@ class Vector
     std::size_t size() const { return values_.size(); }
     const std::string &label(std::size_t i) const { return labels_.at(i); }
     const std::string &name() const { return name_; }
+
+    template <class Ar> void fields(Ar &ar) { ar.fixed(values_); }
 
   private:
     std::string name_;
@@ -131,21 +127,6 @@ class Histogram
         buckets_.assign(buckets_.size(), 0);
     }
 
-    /** Overwrites the full distribution (checkpoint restore). */
-    void
-    restore(std::uint64_t count, std::uint64_t sum, std::uint64_t min,
-            std::uint64_t max, const std::vector<std::uint64_t> &buckets)
-    {
-        panic_if(buckets.size() != buckets_.size(),
-                 "stats::Histogram '%s' bucket count mismatch",
-                 name_.c_str());
-        count_ = count;
-        sum_ = sum;
-        min_ = min;
-        max_ = max;
-        buckets_ = buckets;
-    }
-
     std::uint64_t count() const { return count_; }
     std::uint64_t sum() const { return sum_; }
     std::uint64_t minValue() const { return min_; }
@@ -153,6 +134,14 @@ class Histogram
     double mean() const { return count_ ? double(sum_) / count_ : 0.0; }
     const std::vector<std::uint64_t> &buckets() const { return buckets_; }
     const std::string &name() const { return name_; }
+
+    template <class Ar>
+    void
+    fields(Ar &ar)
+    {
+        ar(count_, sum_, min_, max_);
+        ar.fixed(buckets_);
+    }
 
   private:
     std::string name_;
@@ -190,15 +179,11 @@ class TimeSeries
 
     void reset() { buckets_.clear(); }
 
-    /** Overwrites the bucket contents (checkpoint restore). */
-    void setBuckets(std::vector<std::uint64_t> buckets)
-    {
-        buckets_ = std::move(buckets);
-    }
-
     Tick bucketWidth() const { return width_; }
     const std::vector<std::uint64_t> &buckets() const { return buckets_; }
     const std::string &name() const { return name_; }
+
+    template <class Ar> void fields(Ar &ar) { ar.list(buckets_); }
 
   private:
     std::string name_;

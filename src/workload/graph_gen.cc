@@ -8,6 +8,8 @@
 #include <algorithm>
 #include <unordered_set>
 
+#include "sim/checkpoint.h"
+
 namespace hwgc::workload
 {
 
@@ -20,95 +22,24 @@ GraphBuilder::GraphBuilder(runtime::Heap &heap,
 {
 }
 
+template <class Ar>
 void
-putGraphParams(checkpoint::Serializer &ser, const GraphParams &p)
+GraphBuilder::fields(Ar &ar)
 {
-    ser.putU64(p.liveObjects);
-    ser.putU64(p.garbageObjects);
-    ser.putU64(p.numRoots);
-    ser.putDouble(p.avgRefs);
-    ser.putU64(p.maxRefs);
-    ser.putU64(p.minRefs);
-    ser.putDouble(p.avgPayloadWords);
-    ser.putU64(p.maxPayloadWords);
-    ser.putDouble(p.arrayFraction);
-    ser.putDouble(p.avgArrayLen);
-    ser.putU64(p.maxArrayLen);
-    ser.putDouble(p.largeFraction);
-    ser.putDouble(p.shareProb);
-    ser.putDouble(p.cycleProb);
-    ser.putDouble(p.localityBias);
-    ser.putU64(p.localityWindow);
-    ser.putU64(p.hotObjects);
-    ser.putDouble(p.hotRefFraction);
-    ser.putU64(p.sparsePadObjects);
-    ser.putU64(p.seed);
+    std::uint64_t seed = params_.seed;
+    ar(seed);
+    if constexpr (Ar::loading) {
+        fatal_if(seed != params_.seed,
+                 "builder snapshot '%s' was taken under a different seed",
+                 ar.origin().c_str());
+    }
+    ar(rng_, built_);
+    ar.list(liveSet_);
+    ar.list(hotSet_);
 }
 
-GraphParams
-getGraphParams(checkpoint::Deserializer &des)
-{
-    GraphParams p;
-    p.liveObjects = des.getU64();
-    p.garbageObjects = des.getU64();
-    p.numRoots = unsigned(des.getU64());
-    p.avgRefs = des.getDouble();
-    p.maxRefs = std::uint32_t(des.getU64());
-    p.minRefs = std::uint32_t(des.getU64());
-    p.avgPayloadWords = des.getDouble();
-    p.maxPayloadWords = std::uint32_t(des.getU64());
-    p.arrayFraction = des.getDouble();
-    p.avgArrayLen = des.getDouble();
-    p.maxArrayLen = std::uint32_t(des.getU64());
-    p.largeFraction = des.getDouble();
-    p.shareProb = des.getDouble();
-    p.cycleProb = des.getDouble();
-    p.localityBias = des.getDouble();
-    p.localityWindow = std::size_t(des.getU64());
-    p.hotObjects = des.getU64();
-    p.hotRefFraction = des.getDouble();
-    p.sparsePadObjects = des.getU64();
-    p.seed = des.getU64();
-    return p;
-}
-
-void
-GraphBuilder::save(checkpoint::Serializer &ser) const
-{
-    ser.putU64(params_.seed);
-    checkpoint::putRng(ser, rng_);
-    ser.putU64(built_);
-    ser.putU64(liveSet_.size());
-    for (const ObjRef ref : liveSet_) {
-        ser.putU64(ref);
-    }
-    ser.putU64(hotSet_.size());
-    for (const ObjRef ref : hotSet_) {
-        ser.putU64(ref);
-    }
-}
-
-void
-GraphBuilder::restore(checkpoint::Deserializer &des)
-{
-    fatal_if(des.getU64() != params_.seed,
-             "builder snapshot '%s' was taken under a different seed",
-             des.origin().c_str());
-    checkpoint::getRng(des, rng_);
-    built_ = des.getU64();
-    liveSet_.clear();
-    const std::uint64_t live = des.getU64();
-    liveSet_.reserve(live);
-    for (std::uint64_t i = 0; i < live; ++i) {
-        liveSet_.push_back(des.getU64());
-    }
-    hotSet_.clear();
-    const std::uint64_t hot = des.getU64();
-    hotSet_.reserve(hot);
-    for (std::uint64_t i = 0; i < hot; ++i) {
-        hotSet_.push_back(des.getU64());
-    }
-}
+template void GraphBuilder::fields(checkpoint::Serializer &);
+template void GraphBuilder::fields(checkpoint::Deserializer &);
 
 ObjRef
 GraphBuilder::allocateOne(bool allow_array)

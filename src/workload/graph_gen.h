@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "runtime/heap.h"
-#include "sim/checkpoint.h"
 #include "sim/random.h"
 
 namespace hwgc::workload
@@ -70,12 +69,19 @@ struct GraphParams
     std::uint64_t sparsePadObjects = 0;
 
     std::uint64_t seed = 1;
-};
 
-/** @name GraphParams serialization (farm snapshots) @{ */
-void putGraphParams(checkpoint::Serializer &ser, const GraphParams &p);
-GraphParams getGraphParams(checkpoint::Deserializer &des);
-/** @} */
+    /** Checkpoint field list (farm snapshots). */
+    template <class Ar>
+    void
+    fields(Ar &ar)
+    {
+        ar(liveObjects, garbageObjects, numRoots, avgRefs, maxRefs,
+           minRefs, avgPayloadWords, maxPayloadWords, arrayFraction,
+           avgArrayLen, maxArrayLen, largeFraction, shareProb, cycleProb,
+           localityBias, localityWindow, hotObjects, hotRefFraction,
+           sparsePadObjects, seed);
+    }
+};
 
 /** Builds and churns a heap graph matching a GraphParams shape. */
 class GraphBuilder
@@ -106,13 +112,12 @@ class GraphBuilder
      *
      * Captures the RNG stream and the live/hot candidate lists so a
      * restored builder continues mutate() bit-identically to the one
-     * that was snapshotted. restore() must run on a builder
+     * that was snapshotted. Loading must run on a builder
      * constructed with the same GraphParams (seed-checked) over a
      * heap whose state was restored from the same snapshot.
      * @{
      */
-    void save(checkpoint::Serializer &ser) const;
-    void restore(checkpoint::Deserializer &des);
+    template <class Ar> void fields(Ar &ar);
     /** @} */
 
   private:

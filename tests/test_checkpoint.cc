@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <fstream>
 #include <iterator>
 #include <memory>
@@ -21,6 +22,9 @@
 
 #include "core/hwgc_device.h"
 #include "driver/fleet.h"
+#include "fuzz/farm.h"
+#include "mem/ideal_mem.h"
+#include "mem/interconnect.h"
 #include "sim/checkpoint.h"
 #include "sim/telemetry.h"
 #include "workload/graph_gen.h"
@@ -523,6 +527,204 @@ TEST(CheckpointDeathTest, RejectsMissingFile)
     Rig rig(testGraph(5, 64), HwgcConfig{});
     EXPECT_EXIT(rig.device->restoreCheckpoint(tmpPath("nope.ckpt")),
                 ::testing::ExitedWithCode(1), "cannot open");
+}
+
+
+/** A hand-built trace-queue chunk holding one entry. */
+std::string
+traceQueueImage(std::uint64_t num_refs)
+{
+    checkpoint::Serializer ser;
+    // One queued entry (status-word VA, 32-bit reference count), then
+    // the queue's maxDepth statistic.
+    ser.chunk("traceQueue", 1, 0x4000'0000, num_refs, 1);
+    return ser.image();
+}
+
+TEST(CheckpointDeathTest, RejectsValueTooWideForItsField)
+{
+    core::TraceQueue queue(4);
+    {
+        // The widest value that fits restores as written.
+        checkpoint::Deserializer des(traceQueueImage(0xffff'ffff));
+        des.chunk("traceQueue", queue);
+        ASSERT_EQ(queue.size(), 1u);
+        EXPECT_EQ(queue.pop().numRefs, 0xffff'ffffu);
+    }
+    checkpoint::Deserializer des(traceQueueImage(1ULL << 32));
+    EXPECT_EXIT(des.chunk("traceQueue", queue),
+                ::testing::ExitedWithCode(1),
+                "chunk 'traceQueue' holds 0x100000000, which does not fit "
+                "its 4-byte field");
+}
+
+/** A hand-built physmem chunk holding one page of @p len bytes. */
+std::string
+physMemImage(const mem::PhysMem &mem, std::uint64_t num, std::uint64_t len)
+{
+    const std::vector<char> page(len);
+    checkpoint::Serializer ser;
+    ser.beginChunk("physmem");
+    ser(mem.size(), 1, num, len);
+    ser.bytes(page.data(), page.size());
+    ser.endChunk();
+    return ser.image();
+}
+
+TEST(CheckpointDeathTest, RejectsPageOutsidePhysicalMemory)
+{
+    mem::PhysMem mem(256 * pageBytes);
+    {
+        // The last page fits.
+        checkpoint::Deserializer des(physMemImage(mem, 255, pageBytes));
+        des.chunk("physmem", mem);
+        EXPECT_EQ(mem.pagesTouched(), 1u);
+    }
+    for (const auto &[num, len] :
+         {std::pair<std::uint64_t, std::uint64_t>(256, pageBytes),
+          std::pair<std::uint64_t, std::uint64_t>(0, 16)}) {
+        checkpoint::Deserializer des(physMemImage(mem, num, len));
+        EXPECT_EXIT(des.chunk("physmem", mem), ::testing::ExitedWithCode(1),
+                    "does not fit this physical memory");
+    }
+}
+
+struct NullResponder : mem::MemResponder
+{
+    void onResponse(const mem::MemResponse &, Tick) override {}
+};
+
+/**
+ * A hand-built bus chunk for two clients, holding one message from
+ * @p client: a request queued at port 0, or a pending response.
+ */
+std::string
+busImage(unsigned client, bool response)
+{
+    mem::MemResponse msg;
+    msg.req.client = client;
+    checkpoint::Serializer ser;
+    ser.beginChunk("bus");
+    ser(2);                // Client ports.
+    ser(response ? 0 : 1); // Port 0's queued requests.
+    if (!response) {
+        ser(msg.req, Tick(0));
+    }
+    ser(0);                // Port 1's queued requests.
+    ser(response ? 1 : 0); // Pending responses.
+    if (response) {
+        ser(msg, Tick(0));
+    }
+    ser(0, 0.0);           // Round-robin pointer, throttle tokens.
+    ser(0);                // Budget groups.
+    ser(mem::Interconnect::noGroup, mem::Interconnect::noGroup);
+    ser(std::array<std::uint64_t, 8>{}); // Per-port and bus counters.
+    ser.endChunk();
+    return ser.image();
+}
+
+TEST(CheckpointDeathTest, RejectsBusMessageFromUnknownClient)
+{
+    mem::PhysMem mem;
+    mem::IdealMem ideal("ideal", mem::IdealMemParams{}, mem);
+    mem::Interconnect bus("bus", mem::InterconnectParams{}, ideal);
+    NullResponder responder;
+    bus.registerClient(&responder, "a");
+    bus.registerClient(&responder, "b");
+    for (const bool response : {false, true}) {
+        SCOPED_TRACE(response ? "pending response" : "queued request");
+        {
+            // The last port is a valid client.
+            checkpoint::Deserializer des(busImage(1, response));
+            des.chunk("bus", bus);
+        }
+        checkpoint::Deserializer des(busImage(2, response));
+        EXPECT_EXIT(des.chunk("bus", bus), ::testing::ExitedWithCode(1),
+                    "message from client 2 of 2");
+    }
+}
+
+// ---------------------------------------------------------------------
+// Format freeze: 64-bit FNV-1a digests of four checkpoint images,
+// recorded when checkpoint format version 3 was introduced. Any change
+// to what a component writes, or in which order, changes a digest.
+// ---------------------------------------------------------------------
+
+std::uint64_t
+fnv1a(const std::string &data)
+{
+    std::uint64_t h = 14695981039346656037ULL;
+    for (const char c : data) {
+        h ^= std::uint8_t(c);
+        h *= 1099511628211ULL;
+    }
+    return h;
+}
+
+/** The image a device writes when armed at @p at mid-mark. */
+std::string
+midMarkImage(const HwgcConfig &config, Tick at)
+{
+    const std::string path = tmpPath("freeze.ckpt");
+    Rig rig(testGraph(21), config);
+    rig.device->armCheckpoint(path, at);
+    const auto mark = rig.device->runMark();
+    EXPECT_GT(mark.cycles, at) << "checkpoint is not mid-mark";
+    return slurp(path);
+}
+
+std::string
+fleetMidServiceImage()
+{
+    const std::string path = tmpPath("freeze-fleet.ckpt");
+    driver::FleetLab lab(fleetTestConfig(), fleetTestTenants());
+    lab.runUntilCycle(200'000);
+    EXPECT_FALSE(lab.done());
+    EXPECT_TRUE(lab.writeCheckpoint(path));
+    return slurp(path);
+}
+
+std::string
+farmSnapshotImage()
+{
+    const std::string path = tmpPath("freeze.farm");
+    workload::GraphParams params = testGraph(77, 400);
+    mem::PhysMem mem;
+    runtime::Heap heap(mem);
+    workload::GraphBuilder builder(heap, params);
+    builder.build();
+    builder.mutate(0.25);
+    fuzz::FarmMeta meta;
+    meta.seed = params.seed;
+    meta.warmPauses = 1;
+    meta.liveObjects = heap.liveObjects();
+    meta.bytesAllocated = heap.bytesAllocated();
+    fuzz::saveFarmSnapshot(path, meta, params, heap, builder, mem);
+    return slurp(path);
+}
+
+void
+expectFrozen(const std::string &what, const std::string &image,
+             std::uint64_t frozen)
+{
+    EXPECT_EQ(fnv1a(image), frozen)
+        << what << ": the checkpoint layout changed (" << image.size()
+        << "-byte image). Bump checkpoint::formatVersion and record "
+           "the digests of the new layout here.";
+}
+
+TEST(CheckpointFormat, ImagesMatchFrozenDigests)
+{
+    HwgcConfig spill;
+    spill.markQueueEntries = 32;
+    expectFrozen("mid-mark device, default config",
+                 midMarkImage(HwgcConfig{}, 2000), 0x77bef83035831853ULL);
+    expectFrozen("mid-mark device, markQueueEntries=32",
+                 midMarkImage(spill, 2000), 0x8edaa15e03ef4c01ULL);
+    expectFrozen("mid-service fleet", fleetMidServiceImage(),
+                 0xfa3fa63ba0a6a884ULL);
+    expectFrozen("farm snapshot", farmSnapshotImage(),
+                 0xca110b9c9f945bceULL);
 }
 
 } // namespace
