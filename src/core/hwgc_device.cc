@@ -201,7 +201,8 @@ HwgcDevice::HwgcDevice(mem::PhysMem &mem,
     // pokes itself from its external entry points (sendRequest,
     // onResponse, enqueue/dequeue, requestWalk, start/extend, assign),
     // and producers poke the specific consumer a hand-off can unblock
-    // (the bus/cache poke a port's owner when a pop raises canSend,
+    // (the bus/cache poke a port's owner — the marker's and the
+    // tracer's, which sleep on a full port — when a pop raises canSend,
     // the mark queue pokes the marker when entries become
     // dequeueable, the tracer pokes the marker when a trace-queue pop
     // raises canPush). What remains to declare are the coarse
@@ -210,8 +211,12 @@ HwgcDevice::HwgcDevice(mem::PhysMem &mem,
     //  - marker and tracer wait on PTW walk callbacks and launch
     //    slots (ptw.canRequest), and on mark-queue state the queue's
     //    own spill tick shuffles (canDequeue, throttle).
-    //  - tracer polls the trace queue and markQueue.throttle, which
-    //    the marker's tick feeds and drains.
+    //  - tracer polls the trace queue, which the marker's tick feeds,
+    //    and markQueue.throttle, which the root reader's tick can
+    //    raise by enqueueing roots. A rising throttle only raises the
+    //    tracer's wakeup, but it starts the throttle stalls its
+    //    skipped cycles accrue (accruesWhileSkipped), so it must be
+    //    seen as well.
     //  - rootReader and the sweepers wait on PTW walk callbacks.
     //  - reclamation polls sweeper->idle() and PTW walk callbacks.
     //  - the bus polls memory.canAccept.
@@ -219,8 +224,9 @@ HwgcDevice::HwgcDevice(mem::PhysMem &mem,
     // state, so their entry-point pokes alone keep them fresh.
     sys_->declareWakeupInputs(marker_.get(),
                               {markQueue_.get(), ptw_.get()});
-    sys_->declareWakeupInputs(
-        tracer_.get(), {marker_.get(), markQueue_.get(), ptw_.get()});
+    sys_->declareWakeupInputs(tracer_.get(),
+                              {rootReader_.get(), marker_.get(),
+                               markQueue_.get(), ptw_.get()});
     if (!config_.decoupledTracer) {
         // Coupled-pipeline ablation: the tracer also polls the
         // marker's in-flight reads, which drop inside the bus/cache
@@ -238,12 +244,16 @@ HwgcDevice::HwgcDevice(mem::PhysMem &mem,
         }
     }
     markQueue_->setConsumer(marker_.get());
-    if (config_.sharedCache) {
-        sharedCache_->setPortOwner(markerPort_, marker_.get());
-    } else {
-        busPtr_->setClientOwner(
-            static_cast<mem::BusPort *>(markerPort_)->clientId(),
-            marker_.get());
+    for (const auto &[port, owner] :
+         {std::pair<mem::MemPort *, Clocked *>(markerPort_, marker_.get()),
+          std::pair<mem::MemPort *, Clocked *>(tracerPort_,
+                                               tracer_.get())}) {
+        if (config_.sharedCache) {
+            sharedCache_->setPortOwner(port, owner);
+        } else {
+            busPtr_->setClientOwner(
+                static_cast<mem::BusPort *>(port)->clientId(), owner);
+        }
     }
     sys_->declareWakeupInputs(rootReader_.get(), {ptw_.get()});
     sys_->declareWakeupInputs(reclamation_.get(), {ptw_.get()});

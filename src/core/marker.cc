@@ -28,20 +28,31 @@ Marker::Marker(std::string name, const HwgcConfig &config,
     panic_if(port_ == nullptr, "marker needs a memory port");
     panic_if(config_.markerSlots == 0, "marker needs request slots");
     ptwPort_ = ptw_.registerRequester(this->name());
+    recount();
+}
+
+void
+Marker::recount()
+{
+    freeSlots_ = finishWriteback_ = finishPush_ = 0;
+    for (const auto &slot : slots_) {
+        freeSlots_ += slot.state == SlotState::Free;
+        if (slot.state == SlotState::Finish) {
+            ++(slot.needWriteback ? finishWriteback_ : finishPush_);
+        }
+    }
+    readyWaiters_ = unlaunchedWaiters_ = 0;
+    for (const auto &waiter : waiters_) {
+        readyWaiters_ += waiter.valid && waiter.ready;
+        unlaunchedWaiters_ +=
+            waiter.valid && !waiter.ready && !waiter.walkRequested;
+    }
 }
 
 bool
 Marker::idle() const
 {
-    if (waitersActive_ != 0) {
-        return false;
-    }
-    for (const auto &slot : slots_) {
-        if (slot.state != SlotState::Free) {
-            return false;
-        }
-    }
-    return true;
+    return waitersActive_ == 0 && freeSlots_ == slots_.size();
 }
 
 int
@@ -84,6 +95,7 @@ Marker::onResponse(const mem::MemResponse &resp, Tick now)
         ++alreadyMarked_;
         ++writebacksElided_;
         slot.state = SlotState::Free;
+        ++freeSlots_;
         return;
     }
 
@@ -93,6 +105,7 @@ Marker::onResponse(const mem::MemResponse &resp, Tick now)
     slot.numRefs = StatusWord::numRefs(old_header);
     slot.needTracePush = slot.numRefs > 0;
     slot.state = SlotState::Finish;
+    ++finishWriteback_;
     markBitCache_.insert(slot.ref);
 }
 
@@ -115,6 +128,8 @@ Marker::finishSlots(Tick now)
             }
             port_->send(wb, now);
             slot.needWriteback = false;
+            --finishWriteback_;
+            ++finishPush_;
         }
         if (slot.needTracePush) {
             if (!traceQueue_.canPush()) {
@@ -124,6 +139,8 @@ Marker::finishSlots(Tick now)
             slot.needTracePush = false;
         }
         slot.state = SlotState::Free;
+        --finishPush_;
+        ++freeSlots_;
     }
 }
 
@@ -144,6 +161,7 @@ Marker::issueRead(Addr ref, Addr pa, Tick now)
     }
     Slot &slot = slots_[idx];
     slot.state = SlotState::AwaitRead;
+    --freeSlots_;
     slot.ref = ref;
     slot.paddr = pa;
     port_->send(req, now);
@@ -160,10 +178,14 @@ Marker::issue(Tick now)
 {
     // Ready walk waiters have priority (their references are oldest).
     for (auto &waiter : waiters_) {
+        if (readyWaiters_ == 0) {
+            break;
+        }
         if (waiter.valid && waiter.ready) {
             if (issueRead(waiter.ref, waiter.pa, now)) {
                 waiter.valid = false;
                 --waitersActive_;
+                --readyWaiters_;
             }
             return; // One issue per cycle.
         }
@@ -179,7 +201,7 @@ Marker::issue(Tick now)
         ++tlbMissStalls_;
         return;
     }
-    if (findFreeSlot() < 0) {
+    if (freeSlots_ == 0) {
         return;
     }
     mem::MemRequest probe;
@@ -214,6 +236,7 @@ Marker::issue(Tick now)
         waiter.ready = false;
         waiter.ref = ref;
         ++waitersActive_;
+        ++unlaunchedWaiters_;
         break;
     }
 }
@@ -232,6 +255,7 @@ Marker::walkCallback(std::uint64_t token)
         panic_if(!w.valid || w.ready, "stale marker walk callback");
         w.pa = pa;
         w.ready = true;
+        ++readyWaiters_;
     };
 }
 
@@ -241,13 +265,15 @@ Marker::tick(Tick now)
     finishSlots(now);
 
     // Launch walks for parked references as the PTW frees up.
-    for (std::size_t i = 0; i < waiters_.size(); ++i) {
+    for (std::size_t i = 0; i < waiters_.size() && unlaunchedWaiters_ != 0;
+         ++i) {
         WalkWaiter &waiter = waiters_[i];
         if (!waiter.valid || waiter.walkRequested || waiter.ready ||
             !ptw_.canRequest(ptwPort_)) {
             continue;
         }
         waiter.walkRequested = true;
+        --unlaunchedWaiters_;
         ptw_.requestWalk(ptwPort_, waiter.ref, now, walkCallback(i), i);
     }
 
@@ -259,48 +285,30 @@ Marker::nextWakeup(Tick now) const
 {
     // Every issue path needs the memory port; probe it once. While it
     // is full, retry ticks are no-ops: the port drains inside a
-    // bus/cache tick and every executed cycle re-polls all wakeups.
+    // bus/cache tick, which pokes us as the port's owner.
     mem::MemRequest probe;
     probe.size = wordBytes;
     const bool can_send = port_->canSend(probe);
 
-    for (const auto &slot : slots_) {
-        if (slot.state != SlotState::Finish) {
-            continue;
-        }
-        if (slot.needWriteback) {
-            if (can_send) {
-                return now; // Write-back can retire.
-            }
-            continue; // Blocked on the port.
-        }
-        if (!slot.needTracePush || traceQueue_.canPush()) {
-            return now; // Trace push (or plain free) can retire.
-        }
-        // Otherwise blocked on trace-queue space (a tracer tick pops).
+    if (finishWriteback_ != 0 && can_send) {
+        return now; // A write-back can retire.
     }
-    const bool slot_free = findFreeSlot() >= 0;
-    for (const auto &waiter : waiters_) {
-        if (!waiter.valid) {
-            continue;
-        }
-        if (waiter.ready) {
-            if (slot_free && can_send) {
-                return now; // Parked reference can issue.
-            }
-            continue; // Blocked on a slot or the port.
-        }
-        if (!waiter.walkRequested && ptw_.canRequest(ptwPort_)) {
-            return now; // A walk can be launched.
-        }
+    if (finishPush_ != 0 && traceQueue_.canPush()) {
+        return now; // A trace push can retire (a tracer pop pokes us).
+    }
+    if (readyWaiters_ != 0 && freeSlots_ != 0 && can_send) {
+        return now; // A parked reference can issue.
+    }
+    if (unlaunchedWaiters_ != 0 && ptw_.canRequest(ptwPort_)) {
+        return now; // A walk can be launched.
     }
     if (markQueue_.canDequeue() && waitersActive_ < waiters_.size() &&
-        slot_free && can_send) {
+        freeSlots_ != 0 && can_send) {
         // Note this fires even when the marker itself is idle: the
         // mark queue's entries are pulled from here. The waiters-full
         // TLB stall is *not* a wakeup — tlbMissStalls accrues in
         // fastForward() and the unblocking walk callback runs inside
-        // a PTW tick, which re-polls every component.
+        // a PTW tick, which re-polls us.
         return now;
     }
     // Remaining states (reads in flight, walks pending, stalls on the
@@ -316,32 +324,37 @@ Marker::cycleClass(Tick now) const
         return CycleClass::Busy;
     }
     // Not due: attribute the stall, most-downstream blockage first.
-    // Each branch mirrors one "continue" in nextWakeup(): whatever
+    // Each branch mirrors one condition in nextWakeup(): whatever
     // kept that wakeup from firing is what this cycle waited on.
-    const bool slot_free = findFreeSlot() >= 0;
-    for (const auto &slot : slots_) {
-        if (slot.state != SlotState::Finish) {
-            continue;
-        }
-        // A finish slot that could retire would be due; it is blocked
-        // on the memory port (write-back) or the trace queue (push).
-        return slot.needWriteback ? CycleClass::StallBus
-                                  : CycleClass::StallDownstreamFull;
+    // A finish slot that could retire would be due; it is blocked on
+    // the memory port (write-back) or the trace queue (push), and the
+    // first finish slot in slot order names the stall.
+    if (finishWriteback_ != 0 && finishPush_ == 0) {
+        return CycleClass::StallBus;
     }
-    for (const auto &waiter : waiters_) {
-        if (waiter.valid && waiter.ready) {
-            // A translated reference that cannot issue: every slot is
-            // held by an in-flight status-word read, or the port is
-            // full.
-            return slot_free ? CycleClass::StallBus
-                             : CycleClass::StallMarkbit;
+    if (finishPush_ != 0 && finishWriteback_ == 0) {
+        return CycleClass::StallDownstreamFull;
+    }
+    if (finishWriteback_ != 0) {
+        for (const auto &slot : slots_) {
+            if (slot.state == SlotState::Finish) {
+                return slot.needWriteback
+                           ? CycleClass::StallBus
+                           : CycleClass::StallDownstreamFull;
+            }
         }
+    }
+    if (readyWaiters_ != 0) {
+        // A translated reference that cannot issue: every slot is
+        // held by an in-flight status-word read, or the port is full.
+        return freeSlots_ != 0 ? CycleClass::StallBus
+                               : CycleClass::StallMarkbit;
     }
     if (markQueue_.canDequeue()) {
         if (waitersActive_ >= waiters_.size()) {
             return CycleClass::StallPtw; // TLB-walk serialization.
         }
-        if (!slot_free) {
+        if (freeSlots_ == 0) {
             return CycleClass::StallMarkbit;
         }
         return CycleClass::StallBus; // Port full (else it were due).
@@ -356,24 +369,25 @@ Marker::cycleClass(Tick now) const
                               : CycleClass::StallUpstreamEmpty;
 }
 
+bool
+Marker::accruesWhileSkipped() const
+{
+    // The dense kernel counts one TLB-miss stall per cycle the marker
+    // spends with dequeueable work but a full walk-waiter station —
+    // unless a ready waiter is parked: dense ticks stop at the ready
+    // waiter before the stall check and count nothing.
+    return markQueue_.canDequeue() && waitersActive_ >= waiters_.size() &&
+        readyWaiters_ == 0;
+}
+
 void
 Marker::fastForward(Tick from, Tick to)
 {
-    // The dense kernel counts one TLB-miss stall per cycle the marker
-    // spends with dequeueable work but a full walk-waiter station.
     // That state is frozen across cycles the kernel skips us (only
-    // ticks mutate it), so the skipped span accrues in one step —
-    // unless a ready waiter is parked: dense ticks stop at the ready
-    // waiter before the stall check and count nothing.
-    if (!markQueue_.canDequeue() || waitersActive_ < waiters_.size()) {
-        return;
+    // ticks and pokes mutate it), so the span accrues in one step.
+    if (accruesWhileSkipped()) {
+        tlbMissStalls_ += to - from;
     }
-    for (const auto &waiter : waiters_) {
-        if (waiter.valid && waiter.ready) {
-            return;
-        }
-    }
-    tlbMissStalls_ += to - from;
 }
 
 template <class Ar>
@@ -393,6 +407,9 @@ Marker::fields(Ar &ar)
     ar.list(targetProfile_);
     ar(marksIssued_, alreadyMarked_, newlyMarked_, writebacksElided_,
        markCacheHits_, tlbMissStalls_, tlb_);
+    if constexpr (Ar::loading) {
+        recount();
+    }
 }
 
 template void Marker::fields(checkpoint::Serializer &);

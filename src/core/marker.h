@@ -116,6 +116,7 @@ class Marker : public Clocked, public mem::MemResponder
     Tick nextWakeup(Tick now) const override;
     CycleClass cycleClass(Tick now) const override;
     Tick classHorizon(Tick) const override { return maxTick; }
+    bool accruesWhileSkipped() const override;
     void fastForward(Tick from, Tick to) override;
     void save(checkpoint::Serializer &ser) const override { ser(*this); }
     void restore(checkpoint::Deserializer &des) override { des(*this); }
@@ -225,6 +226,23 @@ class Marker : public Clocked, public mem::MemResponder
 
     std::vector<WalkWaiter> waiters_;
     unsigned waitersActive_ = 0;
+
+    /** Recomputes the counts below from the slots and waiters. */
+    void recount();
+
+    /**
+     * @name Slot and waiter counts
+     * Kept at every state transition so that nextWakeup() and
+     * cycleClass() need not scan the slots and waiters; derived
+     * state, rebuilt by recount() on restore.
+     * @{
+     */
+    unsigned freeSlots_ = 0;
+    unsigned finishWriteback_ = 0; //!< Finish slots owing a write-back.
+    unsigned finishPush_ = 0;      //!< Finish slots owing a trace push.
+    unsigned readyWaiters_ = 0;    //!< Translated, waiting to issue.
+    unsigned unlaunchedWaiters_ = 0; //!< Walk not yet requested.
+    /** @} */
 
     bool profileTargets_ = false;
     std::unordered_map<Addr, std::uint64_t> targetProfile_;

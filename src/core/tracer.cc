@@ -150,6 +150,55 @@ Tracer::drainPendingRefs()
     }
 }
 
+std::optional<Tracer::Send>
+Tracer::nextSend() const
+{
+    const Active &a = *active_;
+    // Conventional-layout preamble: dependent TIB pointer + metadata.
+    if (a.needTibPtr) {
+        return Send{a.ref + wordBytes, wordBytes, kindTibPtr, false};
+    }
+    if (a.needTibMeta) {
+        return Send{a.tibAddr, wordBytes, kindTibMeta, false};
+    }
+    if (a.cursor >= a.end) {
+        return std::nullopt;
+    }
+    if (config_.layout == runtime::Layout::Tib) {
+        // Scattered fields: one slot per request, preceded by an
+        // offset-word read from the TIB for every group of eight
+        // slots (the offsets tell a real tracer where the fields
+        // are, so the group's slot reads depend on it).
+        const std::uint32_t group = a.slotsIssued / 8;
+        if (a.slotsIssued % 8 == 0 && a.nextOffsetGroup == group) {
+            return Send{a.tibAddr + wordBytes + Addr(group) * wordBytes,
+                        wordBytes, kindTibMeta, true};
+        }
+        return Send{a.cursor, wordBytes, kindRefData, false};
+    }
+    // Bidirectional layout: largest aligned transfer that tiles the
+    // remaining reference section (aligned power-of-two transfers
+    // never straddle a page).
+    return Send{a.cursor, nextTransferSize(a.cursor, a.end - a.cursor),
+                kindRefData, false};
+}
+
+namespace
+{
+
+mem::MemRequest
+readRequest(Addr pa, unsigned size, std::uint64_t kind)
+{
+    mem::MemRequest req;
+    req.paddr = pa;
+    req.size = size;
+    req.op = mem::Op::Read;
+    req.tag = kind;
+    return req;
+}
+
+} // namespace
+
 void
 Tracer::issue(Tick now)
 {
@@ -184,139 +233,58 @@ Tracer::issue(Tick now)
                 name().c_str(), (unsigned long long)a.ref, a.numRefs);
     }
     Active &a = *active_;
-
-    // Conventional-layout preamble: dependent TIB pointer + metadata.
-    if (a.needTibPtr || a.awaitTibPtr) {
-        if (a.awaitTibPtr) {
-            return; // Dependent load: must wait for the pointer.
-        }
-        const Addr ptr_va = a.ref + wordBytes;
-        const auto pa = translate(ptr_va, now);
-        if (!pa) {
-            return;
-        }
-        mem::MemRequest req;
-        req.paddr = *pa;
-        req.size = wordBytes;
-        req.op = mem::Op::Read;
-        req.tag = kindTibPtr;
-        if (!port_->canSend(req)) {
-            return;
-        }
-        port_->send(req, now);
-        ++inFlight_;
-        ++requests_;
-        ++tibReads_;
-        bytesRequested_ += wordBytes;
-        a.needTibPtr = false;
-        a.awaitTibPtr = true;
-        return;
+    if (a.awaitTibPtr || a.awaitTibMeta) {
+        return; // Dependent load: the next address is still unknown.
     }
-    if (a.needTibMeta || a.awaitTibMeta) {
-        if (a.awaitTibMeta) {
-            return; // Dependent: offsets unknown until the TIB loads.
-        }
-        const auto pa = translate(a.tibAddr, now);
-        if (!pa) {
-            return;
-        }
-        mem::MemRequest req;
-        req.paddr = *pa;
-        req.size = wordBytes;
-        req.op = mem::Op::Read;
-        req.tag = kindTibMeta;
-        if (!port_->canSend(req)) {
-            return;
-        }
-        port_->send(req, now);
-        ++inFlight_;
-        ++requests_;
-        ++tibReads_;
-        bytesRequested_ += wordBytes;
-        a.needTibMeta = false;
-        a.awaitTibMeta = true;
-        return;
-    }
-
-    if (a.cursor >= a.end) {
+    const auto send = nextSend();
+    if (!send) {
         active_.reset();
         return;
     }
-
-    const auto pa = translate(a.cursor, now);
+    if (send->offsetWord && !translate(a.cursor, now)) {
+        return; // Blocking TLB miss on the slot the offsets cover.
+    }
+    const auto pa = translate(send->va, now);
     if (!pa) {
         return; // Blocking TLB miss.
     }
-
-    if (config_.layout == runtime::Layout::Tib) {
-        // Scattered fields: one slot per request, preceded by an
-        // offset-word read from the TIB for every group of eight
-        // slots (the offsets tell a real tracer where the fields
-        // are, so the group's slot reads depend on it).
-        const std::uint32_t group = a.slotsIssued / 8;
-        if (a.slotsIssued % 8 == 0 && a.nextOffsetGroup == group) {
-            const Addr off_va =
-                a.tibAddr + wordBytes + Addr(group) * wordBytes;
-            const auto off_pa = translate(off_va, now);
-            if (!off_pa) {
-                return;
-            }
-            mem::MemRequest off;
-            off.paddr = *off_pa;
-            off.size = wordBytes;
-            off.op = mem::Op::Read;
-            off.tag = kindTibMeta;
-            if (!port_->canSend(off)) {
-                return;
-            }
-            port_->send(off, now);
-            ++inFlight_;
-            ++requests_;
-            ++tibReads_;
-            bytesRequested_ += wordBytes;
-            a.nextOffsetGroup = group + 1;
-            return; // One request per cycle.
-        }
-        mem::MemRequest req;
-        req.paddr = *pa;
-        req.size = wordBytes;
-        req.op = mem::Op::Read;
-        req.tag = kindRefData;
-        if (!port_->canSend(req)) {
-            return;
-        }
-        port_->send(req, now);
-        ++inFlight_;
-        ++requests_;
-        bytesRequested_ += wordBytes;
-        ++a.slotsIssued;
-        a.cursor += wordBytes;
-        return;
-    }
-
-    // Bidirectional layout: largest aligned transfer that tiles the
-    // remaining reference section, clipped at the page boundary
-    // (aligned power-of-two transfers never straddle a page).
-    const std::uint64_t remaining = a.end - a.cursor;
-    const unsigned size = nextTransferSize(a.cursor, remaining);
-    if (alignDown(a.cursor, pageBytes) !=
-        alignDown(a.cursor + size - 1, pageBytes)) {
+    if (alignDown(send->va, pageBytes) !=
+        alignDown(send->va + send->size - 1, pageBytes)) {
         panic("aligned transfer crosses a page");
     }
-    mem::MemRequest req;
-    req.paddr = *pa;
-    req.size = size;
-    req.op = mem::Op::Read;
-    req.tag = kindRefData;
+    const mem::MemRequest req = readRequest(*pa, send->size, send->kind);
     if (!port_->canSend(req)) {
         return;
     }
     port_->send(req, now);
     ++inFlight_;
     ++requests_;
-    bytesRequested_ += size;
+    bytesRequested_ += send->size;
+    if (send->kind != kindRefData) {
+        ++tibReads_;
+    }
+
+    if (a.needTibPtr) {
+        a.needTibPtr = false;
+        a.awaitTibPtr = true;
+        return;
+    }
+    if (a.needTibMeta) {
+        a.needTibMeta = false;
+        a.awaitTibMeta = true;
+        return;
+    }
+    if (send->offsetWord) {
+        ++a.nextOffsetGroup;
+        return; // One request per cycle.
+    }
+    if (config_.layout == runtime::Layout::Tib) {
+        ++a.slotsIssued;
+        a.cursor += wordBytes;
+        return;
+    }
     const Addr old_page = alignDown(a.cursor, pageBytes);
-    a.cursor += size;
+    a.cursor += send->size;
     if (a.cursor < a.end &&
         alignDown(a.cursor, pageBytes) != old_page) {
         ++pageCrossings_; // Next transfer re-translates (paper Fig 14).
@@ -324,6 +292,40 @@ Tracer::issue(Tick now)
     if (a.cursor >= a.end) {
         active_.reset();
     }
+}
+
+std::optional<Tracer::PortBlock>
+Tracer::portBlocked() const
+{
+    if (!active_ || active_->awaitTibPtr || active_->awaitTibMeta ||
+        walkPending_) {
+        return std::nullopt;
+    }
+    const auto send = nextSend();
+    if (!send) {
+        return std::nullopt;
+    }
+    // translate() without its effects, noting the TLB hits it makes;
+    // a miss is an effect of its own (a walk or a miss count).
+    PortBlock block;
+    const auto at_hand = [&](Addr va) -> std::optional<Addr> {
+        if (walkDone_ && walkVa_ == alignDown(va, pageBytes)) {
+            return walkPa_ + (va % pageBytes);
+        }
+        const auto pa = tlb_.probe(va);
+        if (pa) {
+            block.va[block.probes++] = va;
+        }
+        return pa;
+    };
+    if (send->offsetWord && !at_hand(active_->cursor)) {
+        return std::nullopt;
+    }
+    const auto pa = at_hand(send->va);
+    if (!pa || port_->canSend(readRequest(*pa, send->size, send->kind))) {
+        return std::nullopt;
+    }
+    return block;
 }
 
 void
@@ -343,9 +345,8 @@ Tracer::nextWakeup(Tick now) const
         if (!mayIssue()) {
             // Throttled: every blocking input (mark-queue fill, tag
             // slots, the coupled marker's reads) changes only inside
-            // another component's tick or callback, and every
-            // executed cycle re-polls all wakeups. throttledCycles
-            // accrues in fastForward().
+            // a declared input's tick or our own onResponse poke.
+            // throttledCycles accrues in fastForward().
             return maxTick;
         }
         if (walkPending_) {
@@ -353,6 +354,11 @@ Tracer::nextWakeup(Tick now) const
         }
         if (active_ && (active_->awaitTibPtr || active_->awaitTibMeta)) {
             return maxTick; // Dependent TIB load in flight.
+        }
+        if (portBlocked()) {
+            // The port owner poke wakes us when a slot frees; the
+            // retries' TLB hits accrue in fastForward().
+            return maxTick;
         }
         return now;
     }
@@ -362,8 +368,9 @@ Tracer::nextWakeup(Tick now) const
 CycleClass
 Tracer::cycleClass(Tick now) const
 {
-    if (nextWakeup(now) <= now) {
-        return CycleClass::Busy;
+    (void)now;
+    if (!pendingRefs_.empty()) {
+        return CycleClass::Busy; // Drain attempt every cycle.
     }
     if (active_ || !traceQueue_.empty()) {
         // Throttle inputs in mayIssue() order, so the first blocking
@@ -383,7 +390,12 @@ Tracer::cycleClass(Tick now) const
         if (walkPending_) {
             return CycleClass::StallPtw;
         }
-        return CycleClass::StallDram; // Dependent TIB load in flight.
+        if (active_ && (active_->awaitTibPtr || active_->awaitTibMeta)) {
+            return CycleClass::StallDram; // Dependent TIB load in flight.
+        }
+        // Issuing, or retrying a read its full port refuses: the
+        // dense kernel ticks those retries, and they class as Busy.
+        return CycleClass::Busy;
     }
     if (walkPending_) {
         return CycleClass::StallPtw;
@@ -397,15 +409,37 @@ Tracer::cycleClass(Tick now) const
                : CycleClass::Idle;
 }
 
+bool
+Tracer::accruesWhileSkipped() const
+{
+    if (!active_ && traceQueue_.empty()) {
+        return false;
+    }
+    if (!mayIssue()) {
+        return true; // throttledCycles.
+    }
+    const auto block = portBlocked();
+    return block && block->probes != 0; // The retries' TLB hits.
+}
+
 void
 Tracer::fastForward(Tick from, Tick to)
 {
-    // The dense kernel counts one throttle stall per cycle the tracer
-    // has work but mayIssue() is false. That state is frozen across
-    // skipped cycles (only ticks mutate it; pendingRefs_ is empty or
-    // we would have been due), so the span accrues in one step.
-    if ((active_ || !traceQueue_.empty()) && !mayIssue()) {
+    // The dense kernel ticks every skipped cycle. While the tracer has
+    // work that mayIssue() refuses, each tick counts one throttle
+    // stall; while its next read waits on a full port, each tick
+    // repeats that read's TLB hits. Either state is frozen across
+    // the span (only our ticks and pokes change it; pendingRefs_ is
+    // empty or we would have been due), so it accrues in one step.
+    if (!active_ && traceQueue_.empty()) {
+        return;
+    }
+    if (!mayIssue()) {
         throttled_ += to - from;
+        return;
+    }
+    if (const auto block = portBlocked()) {
+        tlb_.replayHits({block->va.data(), block->probes}, to - from);
     }
 }
 

@@ -23,6 +23,7 @@
 #ifndef HWGC_CORE_TRACER_H
 #define HWGC_CORE_TRACER_H
 
+#include <array>
 #include <deque>
 #include <optional>
 
@@ -57,6 +58,7 @@ class Tracer : public Clocked, public mem::MemResponder
     Tick nextWakeup(Tick now) const override;
     CycleClass cycleClass(Tick now) const override;
     Tick classHorizon(Tick) const override { return maxTick; }
+    bool accruesWhileSkipped() const override;
     void fastForward(Tick from, Tick to) override;
     void save(checkpoint::Serializer &ser) const override { ser(*this); }
     void restore(checkpoint::Deserializer &des) override { des(*this); }
@@ -136,12 +138,41 @@ class Tracer : public Clocked, public mem::MemResponder
         }
     };
 
+    /** One read of the active object's walk (see nextSend()). */
+    struct Send
+    {
+        Addr va = 0; //!< The address the read covers.
+        unsigned size = 0;
+        ReqKind kind = kindRefData;
+        /** A TIB offset word: the next slot's VA translates first. */
+        bool offsetWord = false;
+    };
+
+    /** A next read that its full port refuses (see portBlocked()). */
+    struct PortBlock
+    {
+        unsigned probes = 0;       //!< TLB lookups per retry.
+        std::array<Addr, 2> va{}; //!< Their VAs, in lookup order.
+    };
+
     /** Translates @p va, stalling on the blocking PTW if needed.
      *  @return The physical address, or nullopt while walking. */
     std::optional<Addr> translate(Addr va, Tick now);
 
     /** Returns true if issuing is currently allowed. */
     bool mayIssue() const;
+
+    /** The active object's next read, or nullopt once its walk is
+     *  done. Not while a dependent TIB load is in flight. */
+    std::optional<Send> nextSend() const;
+
+    /**
+     * Set when the active object's next read has its translation at
+     * hand but the port is full: a retry tick then changes nothing
+     * except the TLB hits its translate() calls make, which the
+     * returned block lists. The pop that frees a port slot pokes us.
+     */
+    std::optional<PortBlock> portBlocked() const;
 
     void issue(Tick now);
     void drainPendingRefs();

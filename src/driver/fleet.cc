@@ -495,8 +495,19 @@ FleetLab::fields(Ar &ar)
         regs.push_back(dev.device->regs());
     }
     ar.beginChunk("driver");
+    // Pending requests and serving devices name a tenant, and the
+    // dispatch and completion paths index tenants_ with it.
+    const auto tenant = [&](unsigned index, bool may_be_none) {
+        if constexpr (Ar::loading) {
+            fatal_if(index >= tenants_.size() &&
+                         !(may_be_none && index == noTenant),
+                     "fleet checkpoint '%s' names tenant %u of %zu",
+                     ar.origin().c_str(), index, tenants_.size());
+        }
+    };
     ar.list(pending_, [&](GcRequest &req) {
         ar(req.tenant, req.triggerAt, req.deadline);
+        tenant(req.tenant, false);
     });
     for (std::size_t t = 0; t < tenants_.size(); ++t) {
         Tenant &ten = tenants_[t];
@@ -512,6 +523,7 @@ FleetLab::fields(Ar &ar)
         Device &dev = devices_[d];
         ar(dev.tenant, dev.phase, dev.triggerAt, dev.dispatchAt,
            dev.sweepStartAt, regs[d]);
+        tenant(dev.tenant, true);
     }
     ar.endChunk();
 

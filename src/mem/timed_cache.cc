@@ -327,6 +327,16 @@ template <class Ar>
 void
 TimedCache::fields(Ar &ar)
 {
+    // A due response and an MSHR target name the upstream port they
+    // answer, and tick() and onResponse() index ports_ with it.
+    const auto port = [&](unsigned index) {
+        if constexpr (Ar::loading) {
+            fatal_if(index >= ports_.size(),
+                     "checkpoint '%s': cache '%s' holds a request from "
+                     "port %u of %zu", ar.origin().c_str(),
+                     name().c_str(), index, ports_.size());
+        }
+    };
     ar(tags_);
     ar.fixed(ports_, [&](auto &p) {
         ar.list(p->queue);
@@ -334,11 +344,15 @@ TimedCache::fields(Ar &ar)
     });
     ar.fixed(mshrs_, [&](Mshr &m) {
         ar(m.valid, m.lineAddr);
-        ar.list(m.targets);
+        ar.list(m.targets, [&](std::pair<unsigned, MemRequest> &target) {
+            ar(target);
+            port(target.first);
+        });
     });
     ar.list(writebackQueue_);
     ar.list(dueResponses_, [&](DueResponse &due) {
         ar(due.resp, due.port, due.readyAt);
+        port(due.port);
     });
     ar(rrNext_, outstandingWritebacks_, hits_, misses_, writebacks_);
 }

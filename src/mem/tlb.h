@@ -13,6 +13,8 @@
 #define HWGC_MEM_TLB_H
 
 #include <optional>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "sim/logging.h"
@@ -41,16 +43,46 @@ class TlbArray
     std::optional<Addr>
     lookup(Addr va)
     {
-        for (auto &e : slots_) {
-            const Addr mask = (Addr(1) << e.pageBits) - 1;
-            if ((va & ~mask) == e.vpage) {
-                e.lastUse = ++useCounter_;
-                ++hits_;
-                return e.ppage + (va & mask);
-            }
+        if (Entry *e = find(va)) {
+            e->lastUse = ++useCounter_;
+            ++hits_;
+            return e->translate(va);
         }
         ++misses_;
         return std::nullopt;
+    }
+
+    /** lookup() without its effects: no statistics, no recency. */
+    std::optional<Addr>
+    probe(Addr va) const
+    {
+        if (const Entry *e = find(va)) {
+            return e->translate(va);
+        }
+        return std::nullopt;
+    }
+
+    /**
+     * Does in one step what @p rounds rounds of lookup() over @p vas,
+     * in order, do when every lookup hits: the hit count, the use
+     * counter and each matched entry's recency. Every VA must hit.
+     */
+    void
+    replayHits(std::span<const Addr> vas, std::uint64_t rounds)
+    {
+        if (rounds == 0) {
+            return;
+        }
+        // Only the last round decides each entry's recency.
+        std::uint64_t use = useCounter_ + (rounds - 1) * vas.size();
+        for (const Addr va : vas) {
+            Entry *e = find(va);
+            panic_if(e == nullptr, "TLB '%s' replays a miss at %#llx",
+                     name_.c_str(), (unsigned long long)va);
+            e->lastUse = ++use;
+        }
+        useCounter_ = use;
+        hits_ += rounds * vas.size();
     }
 
     /** Installs a translation, evicting LRU if full. */
@@ -85,14 +117,10 @@ class TlbArray
     std::optional<std::pair<Addr, unsigned>>
     lookupEntry(Addr va)
     {
-        for (auto &e : slots_) {
-            const Addr mask = (Addr(1) << e.pageBits) - 1;
-            if ((va & ~mask) == e.vpage) {
-                e.lastUse = ++useCounter_;
-                ++hits_;
-                return std::make_pair(e.ppage + (va & mask),
-                                      e.pageBits);
-            }
+        if (Entry *e = find(va)) {
+            e->lastUse = ++useCounter_;
+            ++hits_;
+            return std::make_pair(e->translate(va), e->pageBits);
         }
         ++misses_;
         return std::nullopt;
@@ -146,6 +174,18 @@ class TlbArray
         unsigned pageBits = 12;
         std::uint64_t lastUse = 0;
 
+        bool
+        covers(Addr va) const
+        {
+            return (va & ~((Addr(1) << pageBits) - 1)) == vpage;
+        }
+
+        Addr
+        translate(Addr va) const
+        {
+            return ppage + (va & ((Addr(1) << pageBits) - 1));
+        }
+
         template <class Ar>
         void
         fields(Ar &ar)
@@ -153,6 +193,24 @@ class TlbArray
             ar(vpage, ppage, pageBits, lastUse);
         }
     };
+
+    /** The first entry covering @p va (lookup order), or nullptr. */
+    const Entry *
+    find(Addr va) const
+    {
+        for (const auto &e : slots_) {
+            if (e.covers(va)) {
+                return &e;
+            }
+        }
+        return nullptr;
+    }
+
+    Entry *
+    find(Addr va)
+    {
+        return const_cast<Entry *>(std::as_const(*this).find(va));
+    }
 
     std::string name_;
     unsigned entries_;

@@ -197,7 +197,8 @@ class Clocked
      * and nothing more. An overrider MUST also set hasFastForward_
      * in its constructor — the kernel skips the virtual call for
      * everyone else (the A/B equivalence tests catch a forgotten
-     * flag as a stats divergence).
+     * flag as a stats divergence) — and is called only while
+     * accruesWhileSkipped() holds or its wakeup cache is stale.
      */
     virtual void fastForward(Tick from, Tick to)
     {
@@ -207,6 +208,19 @@ class Clocked
 
     /** Whether fastForward() is overridden and must be called. */
     bool hasFastForward() const { return hasFastForward_; }
+
+    /**
+     * Skip-accrual predicate of a component with hasFastForward_:
+     * false promises that fastForward() would change nothing if the
+     * kernel skipped this component now, so the event kernel makes no
+     * per-cycle call (and visits no cycle) for it. The kernel reads
+     * it when it re-polls nextWakeup() and reuses the answer until
+     * the wakeup cache goes stale, so it may read only state whose
+     * changes already invalidate that cache (the wakeup contract of
+     * System::declareWakeupInputs). The default accrues on every
+     * skipped cycle, like a cycle counter.
+     */
+    virtual bool accruesWhileSkipped() const { return true; }
 
     /**
      * Serializes this component's complete architectural state —
@@ -283,6 +297,11 @@ class System
                  "component '%s' already registered", c->name().c_str());
         c->system_ = this;
         c->sysIndex_ = components_.size();
+        const std::uint64_t bit = std::uint64_t(1) << c->sysIndex_;
+        registered_ |= bit;
+        if (c->hasFastForward()) {
+            fastForwarders_ |= bit;
+        }
         components_.push_back(c);
         wake_.push_back(maxTick);
         succ_.push_back(0);
@@ -651,25 +670,31 @@ class System
     };
 
     /**
-     * Executes one cycle in a single pass. Each component's due-ness
-     * is evaluated *at its turn* in registration order — not in a
+     * Executes one cycle in a single pass over the active components,
+     * in registration order: those due by schedule or by cached
+     * wakeup, those whose wakeup cache is stale (dirty or undeclared),
+     * and those whose skipped cycles accrue (accruesWhileSkipped()).
+     * Every other component has a cached wakeup in the future and
+     * nothing to account, so the pass does not touch it.
+     *
+     * Each component's due-ness is evaluated *at its turn* — not in a
      * separate up-front poll — because a component later in the order
      * must react in the same cycle to work pushed by an earlier one
-     * (in the dense kernel its tick simply runs after the poke).
-     * Non-due components get the cycle as a fast-forward
-     * notification, and their wakeups are folded into a jump target:
-     * if the whole pass ticked nothing, no state changed, so that
-     * minimum is a safe cycle to fast-forward to. If anything ticked,
-     * it may have poked components already passed, so the caller must
-     * run the next cycle normally rather than jump.
+     * (in the dense kernel its tick simply runs after the poke): the
+     * remaining set is recomputed after each visit, so a poke of a
+     * later component adds it to this pass. Non-due accruing
+     * components get the cycle as a fast-forward notification. If the
+     * whole pass ticked nothing, no state changed, so the earliest
+     * cached wakeup is a safe cycle to fast-forward to. If anything
+     * ticked, it may have poked components already passed, so the
+     * caller must run the next cycle normally rather than jump.
      *
      * Wakeup caching: a component that declared its wakeup inputs is
      * only re-polled while its dirty bit is set — a tick of its own,
      * a tick of a declared input, or an explicit pokeWakeup() sets
-     * it; otherwise its cached absolute wakeup stands. Dirty bits set
-     * by a tick apply immediately, so a later component in the same
-     * pass sees the poke at its turn, exactly like the uncached path.
-     * Undeclared components are re-polled every executed cycle.
+     * it; otherwise its cached absolute wakeup (and accrual
+     * predicate) stands. Undeclared components are re-polled every
+     * executed cycle.
      */
     CyclePass
     executeCycle()
@@ -679,33 +704,46 @@ class System
             dueMask_ |= std::uint64_t(1) << scheduled_.top().second;
             scheduled_.pop();
         }
-        bool ticked = false;
+        // Cached wakeups that have come due. timerMin_ bounds every
+        // finite cached wakeup from below, so most cycles skip the scan.
+        std::uint64_t timerDue = 0;
+        if (timerMin_ <= now_) {
+            timerMin_ = maxTick;
+            for (std::uint64_t t = timed_; t != 0; t &= t - 1) {
+                const auto i = std::size_t(__builtin_ctzll(t));
+                if (wake_[i] <= now_) {
+                    timerDue |= std::uint64_t(1) << i;
+                } else {
+                    timerMin_ = std::min(timerMin_, wake_[i]);
+                }
+            }
+        }
+        const std::uint64_t undeclared = registered_ & ~declared_;
+        const std::uint64_t active =
+            dueMask_ | undeclared | timerDue | accruing_;
         std::uint64_t tickedMask = 0;
-        Tick next = maxTick;
-        for (std::size_t i = 0; i < components_.size(); ++i) {
+        std::uint64_t left = (active | dirty_) & registered_;
+        while (left != 0) {
+            const auto i = std::size_t(__builtin_ctzll(left));
             const std::uint64_t bit = std::uint64_t(1) << i;
             Tick w;
             if ((dueMask_ & bit) != 0) {
                 dueMask_ &= ~bit;
                 w = now_;
-            } else if ((dirty_ & bit) != 0 || (declared_ & bit) == 0) {
-                w = components_[i]->nextWakeup(now_);
-                wake_[i] = w;
-                dirty_ &= ~bit;
+            } else if (((dirty_ | undeclared) & bit) != 0) {
+                w = poll(i);
             } else {
                 w = wake_[i];
             }
             if (w <= now_) {
                 components_[i]->tick(now_);
-                ticked = true;
                 tickedMask |= bit;
                 dirty_ |= succ_[i] | bit;
-            } else {
-                if (components_[i]->hasFastForward()) {
-                    components_[i]->fastForward(now_, now_ + 1);
-                }
-                next = std::min(next, w);
+            } else if ((accruing_ & bit) != 0) {
+                components_[i]->fastForward(now_, now_ + 1);
             }
+            // Pokes made by that visit join the rest of this pass.
+            left = (active | dirty_) & registered_ & ~(bit | (bit - 1));
         }
         touched_ |= tickedMask;
         const Tick cycle = now_;
@@ -715,14 +753,52 @@ class System
             observer_->cycleExecuted(cycle, tickedMask);
             touched_ = 0;
         }
+        if (tickedMask != 0) {
+            return {true, maxTick};
+        }
+        // Nothing ticked: every visited cache is fresh, so the jump
+        // target is the earliest finite one (made exact here).
+        timerMin_ = maxTick;
+        for (std::uint64_t t = timed_; t != 0; t &= t - 1) {
+            timerMin_ = std::min(
+                timerMin_, wake_[std::size_t(__builtin_ctzll(t))]);
+        }
+        Tick next = timerMin_;
         if (!scheduled_.empty()) {
             next = std::min(next, scheduled_.top().first);
         }
-        return {ticked, next};
+        return {false, next};
     }
 
-    /** Jumps the clock to @p target, notifying every component of the
-     *  skipped span so per-cycle accounting stays exact. */
+    /**
+     * Re-polls component @p i: refreshes its cached wakeup, the timer
+     * mask and bound, and whether its skipped cycles accrue.
+     */
+    Tick
+    poll(std::size_t i)
+    {
+        const std::uint64_t bit = std::uint64_t(1) << i;
+        Clocked *c = components_[i];
+        const Tick w = c->nextWakeup(now_);
+        wake_[i] = w;
+        dirty_ &= ~bit;
+        if (w != maxTick) {
+            timed_ |= bit;
+            timerMin_ = std::min(timerMin_, w);
+        } else {
+            timed_ &= ~bit;
+        }
+        if ((fastForwarders_ & bit) != 0 && w > now_ &&
+            c->accruesWhileSkipped()) {
+            accruing_ |= bit;
+        } else {
+            accruing_ &= ~bit;
+        }
+        return w;
+    }
+
+    /** Jumps the clock to @p target, notifying every component whose
+     *  skipped cycles accrue so per-cycle accounting stays exact. */
     void
     fastForwardTo(Tick target)
     {
@@ -737,11 +813,8 @@ class System
         // re-poll every stale component and clamp the jump before
         // committing it. Bits stay set: the next executed pass
         // re-polls (and clears) them through the normal path.
-        const std::uint64_t registered =
-            components_.size() >= 64
-                ? ~std::uint64_t(0)
-                : (std::uint64_t(1) << components_.size()) - 1;
-        for (std::uint64_t stale = dirty_ & registered; stale != 0;
+        const std::uint64_t stale_mask = dirty_ & registered_;
+        for (std::uint64_t stale = stale_mask; stale != 0;
              stale &= stale - 1) {
             const auto i = std::size_t(__builtin_ctzll(stale));
             target = std::min(target,
@@ -750,10 +823,12 @@ class System
         if (target <= now_) {
             return; // A poked component is due now: no jump at all.
         }
-        for (auto *c : components_) {
-            if (c->hasFastForward()) {
-                c->fastForward(now_, target);
-            }
+        // A stale component's accrual answer is stale too; its
+        // fastForward() decides for itself.
+        for (std::uint64_t ff = (accruing_ | stale_mask) & fastForwarders_;
+             ff != 0; ff &= ff - 1) {
+            components_[std::size_t(__builtin_ctzll(ff))]->fastForward(
+                now_, target);
         }
         if (observer_ != nullptr) {
             observer_->fastForwarded(now_, target);
@@ -845,6 +920,11 @@ class System
     std::uint64_t dueMask_ = 0; //!< Scheduled-wakeup due components.
     std::uint64_t declared_ = 0; //!< Components with declared inputs.
     std::uint64_t dirty_ = ~std::uint64_t(0); //!< Stale wakeup caches.
+    std::uint64_t registered_ = 0; //!< One bit per component.
+    std::uint64_t fastForwarders_ = 0; //!< Components with fastForward().
+    std::uint64_t timed_ = 0; //!< Finite cached wakeups.
+    Tick timerMin_ = 0; //!< Lower bound of the finite cached wakeups.
+    std::uint64_t accruing_ = 0; //!< Skipped cycles accrue (cached).
     std::vector<std::uint64_t> classSucc_; //!< Per-src class dependents.
     std::uint64_t touched_ = ~std::uint64_t(0); //!< See touched().
     double watchdogSecs_ = 0; //!< Progress watchdog limit (0 = off).

@@ -25,6 +25,7 @@
 #include "fuzz/farm.h"
 #include "mem/ideal_mem.h"
 #include "mem/interconnect.h"
+#include "mem/timed_cache.h"
 #include "sim/checkpoint.h"
 #include "sim/telemetry.h"
 #include "workload/graph_gen.h"
@@ -644,10 +645,154 @@ TEST(CheckpointDeathTest, RejectsBusMessageFromUnknownClient)
     }
 }
 
+/**
+ * A hand-built chunk for a cache with two upstream ports, holding one
+ * message from @p port: a target parked on MSHR 0, or a due response.
+ */
+std::string
+cacheImage(const mem::TimedCacheParams &params, unsigned port,
+           bool response)
+{
+    mem::MemResponse msg;
+    checkpoint::Serializer ser;
+    ser.beginChunk("cache");
+    ser(mem::CacheTags(params.sizeBytes, params.assoc));
+    ser(2, 0, 0, 0, 0); // Two ports: empty queue, no requests each.
+    ser(params.mshrs);
+    for (unsigned m = 0; m < params.mshrs; ++m) {
+        const bool target = m == 0 && !response;
+        ser(target, 0, target ? 1 : 0); // Valid, line, targets.
+        if (target) {
+            ser(port, msg.req);
+        }
+    }
+    ser(0);                // Write-back queue.
+    ser(response ? 1 : 0); // Due responses.
+    if (response) {
+        ser(msg, port, Tick(0));
+    }
+    ser(0, 0, 0, 0, 0); // Round-robin pointer, write-backs, counters.
+    ser.endChunk();
+    return ser.image();
+}
+
+TEST(CheckpointDeathTest, RejectsCacheMessageForUnknownPort)
+{
+    mem::PhysMem mem;
+    mem::IdealMem ideal("ideal", mem::IdealMemParams{}, mem);
+    mem::Interconnect bus("bus", mem::InterconnectParams{}, ideal);
+    const mem::TimedCacheParams params;
+    mem::TimedCache cache("cache", params, mem, bus);
+    NullResponder responder;
+    cache.addPort(&responder, "a");
+    cache.addPort(&responder, "b");
+    for (const bool response : {false, true}) {
+        SCOPED_TRACE(response ? "due response" : "MSHR target");
+        {
+            // The last port is a valid one.
+            checkpoint::Deserializer des(cacheImage(params, 1, response));
+            des.chunk("cache", cache);
+        }
+        checkpoint::Deserializer des(cacheImage(params, 2, response));
+        EXPECT_EXIT(des.chunk("cache", cache), ::testing::ExitedWithCode(1),
+                    "request from port 2 of 2");
+    }
+}
+
+/** The little-endian @p bytes-byte word at @p pos of @p image. */
+std::uint64_t
+getWord(const std::string &image, std::size_t pos, unsigned bytes = 8)
+{
+    std::uint64_t v = 0;
+    for (unsigned b = 0; b < bytes; ++b) {
+        v |= std::uint64_t(std::uint8_t(image[pos + b])) << (8 * b);
+    }
+    return v;
+}
+
+/** Payload [begin, end) of chunk @p name in checkpoint @p image. */
+std::pair<std::size_t, std::size_t>
+chunkSpan(const std::string &image, const std::string &name)
+{
+    std::size_t pos = 12; // Magic and format version.
+    while (pos < image.size()) {
+        const std::size_t name_len = getWord(image, pos, 4);
+        const std::string chunk = image.substr(pos + 4, name_len);
+        pos += 4 + name_len;
+        const std::size_t len = getWord(image, pos);
+        pos += 8;
+        if (chunk == name) {
+            return {pos, pos + len};
+        }
+        pos += len;
+    }
+    ADD_FAILURE() << "no chunk '" << name << "'";
+    return {0, 0};
+}
+
+void
+setWord(std::string &image, std::size_t pos, std::uint64_t v)
+{
+    for (unsigned b = 0; b < 8; ++b) {
+        image[pos + b] = char((v >> (8 * b)) & 0xff);
+    }
+}
+
+TEST(CheckpointDeathTest, RejectsFleetRequestForUnknownTenant)
+{
+    // One device for three tenants, so requests queue behind it.
+    driver::FleetConfig config = fleetTestConfig();
+    config.devices = 1;
+    const auto tenants = fleetTestTenants();
+    std::string image;
+    {
+        driver::FleetLab lab(config, tenants);
+        lab.runUntilCycle(160'000);
+        checkpoint::Serializer ser;
+        lab.saveCheckpoint(ser);
+        image = ser.image();
+    }
+    // The driver chunk opens with the pending-request list (length,
+    // then tenant, trigger and deadline per request) and closes with
+    // the last device's tenant, phase, three cycle stamps and
+    // registers.
+    const auto [begin, end] = chunkSpan(image, "driver");
+    ASSERT_GE(getWord(image, begin), 1u) << "no request is pending";
+    checkpoint::Serializer regs;
+    regs.chunk("", core::MmioRegs{});
+    const std::size_t regs_bytes = regs.image().size() - 24;
+    const std::size_t pending_tenant = begin + 8;
+    const std::size_t device_tenant = end - regs_bytes - 5 * 8;
+    ASSERT_LT(getWord(image, device_tenant), tenants.size())
+        << "the device is not serving a tenant";
+
+    const auto restore = [&](std::size_t pos, std::uint64_t tenant) {
+        std::string data = image;
+        setWord(data, pos, tenant);
+        driver::FleetLab lab(config, tenants);
+        checkpoint::Deserializer des(data);
+        lab.restoreCheckpoint(des);
+    };
+    const std::uint64_t no_tenant = ~0u;
+    // The last tenant, and no tenant at all for a device, are valid.
+    restore(pending_tenant, tenants.size() - 1);
+    restore(device_tenant, tenants.size() - 1);
+    restore(device_tenant, no_tenant);
+    EXPECT_EXIT(restore(pending_tenant, tenants.size()),
+                ::testing::ExitedWithCode(1), "names tenant 3 of 3");
+    EXPECT_EXIT(restore(pending_tenant, no_tenant),
+                ::testing::ExitedWithCode(1), "names tenant 4294967295 of 3");
+    EXPECT_EXIT(restore(device_tenant, tenants.size()),
+                ::testing::ExitedWithCode(1), "names tenant 3 of 3");
+}
+
 // ---------------------------------------------------------------------
-// Format freeze: 64-bit FNV-1a digests of four checkpoint images,
-// recorded when checkpoint format version 3 was introduced. Any change
-// to what a component writes, or in which order, changes a digest.
+// Format freeze: 64-bit FNV-1a digests of checkpoint images, recorded
+// when checkpoint format version 3 was introduced. Any change to what a
+// component writes, or in which order, changes a digest. The event
+// kernel's images also hold its executed-cycle count, so they were
+// re-recorded when the kernel came to skip more cycles (that one word
+// changed); the dense kernel's images pin the layout alone.
 // ---------------------------------------------------------------------
 
 std::uint64_t
@@ -674,10 +819,12 @@ midMarkImage(const HwgcConfig &config, Tick at)
 }
 
 std::string
-fleetMidServiceImage()
+fleetMidServiceImage(KernelMode kernel)
 {
     const std::string path = tmpPath("freeze-fleet.ckpt");
-    driver::FleetLab lab(fleetTestConfig(), fleetTestTenants());
+    driver::FleetConfig config = fleetTestConfig();
+    config.hwgc.kernel = kernel;
+    driver::FleetLab lab(config, fleetTestTenants());
     lab.runUntilCycle(200'000);
     EXPECT_FALSE(lab.done());
     EXPECT_TRUE(lab.writeCheckpoint(path));
@@ -718,13 +865,28 @@ TEST(CheckpointFormat, ImagesMatchFrozenDigests)
     HwgcConfig spill;
     spill.markQueueEntries = 32;
     expectFrozen("mid-mark device, default config",
-                 midMarkImage(HwgcConfig{}, 2000), 0x77bef83035831853ULL);
+                 midMarkImage(HwgcConfig{}, 2000), 0xffb205ec2ee69d4dULL);
     expectFrozen("mid-mark device, markQueueEntries=32",
-                 midMarkImage(spill, 2000), 0x8edaa15e03ef4c01ULL);
-    expectFrozen("mid-service fleet", fleetMidServiceImage(),
-                 0xfa3fa63ba0a6a884ULL);
+                 midMarkImage(spill, 2000), 0xcd14e4e0163316c3ULL);
+    expectFrozen("mid-service fleet", fleetMidServiceImage(KernelMode::Event),
+                 0x6e48bdcefeadf8b4ULL);
     expectFrozen("farm snapshot", farmSnapshotImage(),
                  0xca110b9c9f945bceULL);
+}
+
+TEST(CheckpointFormat, DenseImagesMatchFrozenDigests)
+{
+    HwgcConfig spill = withKernel(HwgcConfig{}, KernelMode::Dense);
+    spill.markQueueEntries = 32;
+    expectFrozen("mid-mark device, default config, dense kernel",
+                 midMarkImage(withKernel(HwgcConfig{}, KernelMode::Dense),
+                              2000),
+                 0x1494897dde0a7c9bULL);
+    expectFrozen("mid-mark device, markQueueEntries=32, dense kernel",
+                 midMarkImage(spill, 2000), 0xdd351ac1b9b82f71ULL);
+    expectFrozen("mid-service fleet, dense kernel",
+                 fleetMidServiceImage(KernelMode::Dense),
+                 0x860dbb49e29a8df4ULL);
 }
 
 } // namespace

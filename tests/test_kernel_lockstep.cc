@@ -1,11 +1,20 @@
 /**
  * @file
  * Per-cycle state lockstep between the dense and event kernels: two
- * identically built devices, one per kernel, step one cycle at a time
- * through mark and sweep, and every component's checkpoint image must
- * match at every cycle. An end-of-run comparison only shows that the
- * two kernels ended in the same place; this one names the first cycle
- * and the component where they part.
+ * identically built devices, one per kernel, run through mark and
+ * sweep, and every component's checkpoint image must match at every
+ * compared cycle. An end-of-run comparison only shows that the two
+ * kernels ended in the same place; this one names the first cycle and
+ * the component where they part. Each config runs twice:
+ *
+ *  - stepped: both devices advance one cycle per run call, so the
+ *    state is compared at every cycle, but every run entry marks each
+ *    cached wakeup stale and the event kernel never jumps;
+ *  - followed: the event device runs each phase in one call, with
+ *    warm wakeup caches and fast-forward jumps, and an observer steps
+ *    the dense device to every cycle it executes or jumps to. A
+ *    missing poke, a stale cache or a wrong multi-cycle fastForward()
+ *    shows here.
  */
 
 #include <gtest/gtest.h>
@@ -29,7 +38,8 @@ struct Rig
 {
     Rig(const workload::GraphParams &graph, HwgcConfig config,
         KernelMode kernel)
-        : heap(mem), builder(heap, graph)
+        : heap(mem, runtime::HeapParams{.layout = config.layout}),
+          builder(heap, graph)
     {
         builder.build();
         heap.clearAllMarks();
@@ -115,6 +125,84 @@ lockstepPhase(Rig &dense, Rig &event)
     }
 }
 
+/**
+ * Follows an event-kernel run with a dense device: at every cycle the
+ * event kernel executes and at the end of every jump, the dense device
+ * is stepped to the same cycle and the two states are compared.
+ */
+class DenseFollower : public KernelObserver
+{
+  public:
+    DenseFollower(core::HwgcDevice &dense, core::HwgcDevice &event)
+        : dense_(dense), event_(event)
+    {
+    }
+
+    void cycleExecuted(Tick now, std::uint64_t) override { follow(now + 1); }
+    void fastForwarded(Tick, Tick to) override { follow(to); }
+
+    /** "" while the states matched at every compared cycle. */
+    const std::string &failure() const { return failure_; }
+    std::uint64_t compared() const { return compared_; }
+
+  private:
+    void
+    follow(Tick at)
+    {
+        if (!failure_.empty()) {
+            return;
+        }
+        dense_.system().runUntilIdleStop(at);
+        ++compared_;
+        if (dense_.system().now() != at) {
+            failure_ = "cycle " + std::to_string(at) +
+                ": the dense kernel stopped at cycle " +
+                std::to_string(dense_.system().now());
+            return;
+        }
+        const std::string diff = firstDifference(dense_, event_);
+        if (!diff.empty()) {
+            failure_ = "cycle " + std::to_string(at) + ": component '" +
+                diff + "' differs between the dense and event kernels";
+        }
+    }
+
+    core::HwgcDevice &dense_;
+    core::HwgcDevice &event_;
+    std::string failure_;
+    std::uint64_t compared_ = 0;
+};
+
+/** The followed mode's counterpart of lockstepPhase(): the phase's
+ *  cycle count, or 0 if the kernels parted. */
+Tick
+followPhase(Rig &dense, Rig &event)
+{
+    System &ds = dense.device->system();
+    System &es = event.device->system();
+    const Tick start = es.now();
+    DenseFollower follower(*dense.device, *event.device);
+    es.setObserver(&follower);
+    const bool idle = es.runUntilIdle();
+    es.setObserver(nullptr);
+    EXPECT_TRUE(idle);
+    EXPECT_EQ(follower.failure(), "");
+    if (!idle || !follower.failure().empty()) {
+        return 0;
+    }
+    // The event kernel skips cycles: it compared fewer than it ran.
+    EXPECT_LT(follower.compared(), es.now() - start);
+    const System::StopReason dr = ds.runUntilIdleStop(ds.now() + 1);
+    EXPECT_EQ(dr, System::StopReason::Idle)
+        << "the dense kernel is still busy after the event kernel "
+           "drained at cycle "
+        << es.now();
+    EXPECT_EQ(ds.now(), es.now());
+    return dr == System::StopReason::Idle && ds.now() == es.now()
+        ? es.now() - start
+        : 0;
+}
+
 void
 expectLockstep(const HwgcConfig &config)
 {
@@ -124,22 +212,26 @@ expectLockstep(const HwgcConfig &config)
     graph.numRoots = 8;
     graph.arrayFraction = 0.15;
     graph.seed = 21;
-    Rig dense(graph, config, KernelMode::Dense);
-    Rig event(graph, config, KernelMode::Event);
+    for (const bool followed : {false, true}) {
+        SCOPED_TRACE(followed ? "followed" : "stepped");
+        const auto phase = followed ? followPhase : lockstepPhase;
+        Rig dense(graph, config, KernelMode::Dense);
+        Rig event(graph, config, KernelMode::Event);
 
-    dense.device->startMark();
-    event.device->startMark();
-    const Tick mark = lockstepPhase(dense, event);
-    ASSERT_GT(mark, 1000u);
-    EXPECT_EQ(dense.device->finishMark().objectsMarked,
-              event.device->finishMark().objectsMarked);
+        dense.device->startMark();
+        event.device->startMark();
+        const Tick mark = phase(dense, event);
+        ASSERT_GT(mark, 1000u);
+        EXPECT_EQ(dense.device->finishMark().objectsMarked,
+                  event.device->finishMark().objectsMarked);
 
-    dense.device->startSweep();
-    event.device->startSweep();
-    const Tick sweep = lockstepPhase(dense, event);
-    ASSERT_GT(sweep, 100u);
-    EXPECT_EQ(dense.device->finishSweep().cellsFreed,
-              event.device->finishSweep().cellsFreed);
+        dense.device->startSweep();
+        event.device->startSweep();
+        const Tick sweep = phase(dense, event);
+        ASSERT_GT(sweep, 100u);
+        EXPECT_EQ(dense.device->finishSweep().cellsFreed,
+                  event.device->finishSweep().cellsFreed);
+    }
 }
 
 TEST(KernelLockstep, Baseline)
@@ -165,6 +257,27 @@ TEST(KernelLockstep, SharedCache)
 {
     HwgcConfig config;
     config.sharedCache = true;
+    expectLockstep(config);
+}
+
+// One request per bus client queue: the tracer's reads wait on a full
+// port most of the time, so its port-blocked sleep and the replay of
+// its retries' TLB hits run on every path of the bidirectional layout.
+TEST(KernelLockstep, PortPressure)
+{
+    HwgcConfig config;
+    config.bus.clientQueueDepth = 1;
+    expectLockstep(config);
+}
+
+// The conventional layout's TIB pointer, metadata and offset-word
+// reads; an offset word probes two VAs per retry. The shallow bus
+// queue makes each of them wait on a full port.
+TEST(KernelLockstep, TibLayout)
+{
+    HwgcConfig config;
+    config.layout = runtime::Layout::Tib;
+    config.bus.clientQueueDepth = 1;
     expectLockstep(config);
 }
 

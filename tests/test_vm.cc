@@ -10,6 +10,7 @@
 #include "mem/page_table.h"
 #include "mem/ptw.h"
 #include "mem/tlb.h"
+#include "sim/checkpoint.h"
 
 namespace hwgc::mem
 {
@@ -122,6 +123,79 @@ TEST(Tlb, ReinsertUpdatesMapping)
     tlb.insert(0x1000, 0x1000);
     tlb.insert(0x1000, 0x9000);
     EXPECT_EQ(tlb.lookup(0x1000).value(), 0x9000u);
+}
+
+TEST(Tlb, ProbeHasNoEffect)
+{
+    TlbArray tlb("t", 2);
+    tlb.insert(0x1000, 0x8000);
+    tlb.insert(0x2000, 0x9000);
+    EXPECT_EQ(tlb.probe(0x1010).value(), 0x8010u);
+    EXPECT_FALSE(tlb.probe(0x3000).has_value());
+    EXPECT_EQ(tlb.hits(), 0u);
+    EXPECT_EQ(tlb.misses(), 0u);
+    tlb.insert(0x3000, 0xa000); // 0x1000 is still the LRU entry.
+    EXPECT_FALSE(tlb.probe(0x1000).has_value());
+}
+
+/** The TLB's checkpoint image: entries, recency and statistics. */
+std::string
+tlbImage(const TlbArray &tlb)
+{
+    checkpoint::Serializer ser;
+    ser.chunk("tlb", tlb);
+    return ser.image();
+}
+
+TEST(Tlb, ReplayHitsEqualsRepeatedLookups)
+{
+    // Four full entries, one a superpage, touched out of insertion
+    // order so that recency and insertion order disagree.
+    const auto filled = [] {
+        TlbArray tlb("t", 4);
+        tlb.insert(0x1000, 0x11000);
+        tlb.insert(0x2000, 0x12000);
+        tlb.insert(0x40'0000, 0x80'0000, 21);
+        tlb.insert(0x3000, 0x13000);
+        tlb.lookup(0x1000);
+        tlb.lookup(0x3000);
+        return tlb;
+    };
+    const std::vector<std::vector<Addr>> cases = {
+        {0x2008},           // One VA, as a port-blocked read retries.
+        {0x2008, 0x40'1230}, // A TIB offset word: two entries.
+        {0x40'1230, 0x2008},
+        {0x3010, 0x3018},   // Both VAs in one entry.
+    };
+    const std::vector<Addr> pages = {0x1000, 0x2000, 0x40'0000, 0x3000};
+    for (const auto &vas : cases) {
+        for (const std::uint64_t rounds : {0u, 1u, 2u, 7u}) {
+            SCOPED_TRACE(testing::Message() << vas.size() << " VAs from "
+                                            << std::hex << vas[0]
+                                            << std::dec << ", " << rounds
+                                            << " rounds");
+            TlbArray replayed = filled();
+            TlbArray looked_up = filled();
+            replayed.replayHits(vas, rounds);
+            for (std::uint64_t r = 0; r < rounds; ++r) {
+                for (const Addr va : vas) {
+                    ASSERT_TRUE(looked_up.lookup(va).has_value());
+                }
+            }
+            EXPECT_EQ(replayed.hits(), looked_up.hits());
+            EXPECT_EQ(replayed.hits(), 2 + rounds * vas.size());
+            EXPECT_EQ(tlbImage(replayed), tlbImage(looked_up));
+            // The next insert evicts the same least recently used page.
+            replayed.insert(0x9000, 0x19000);
+            looked_up.insert(0x9000, 0x19000);
+            for (const Addr page : pages) {
+                EXPECT_EQ(replayed.probe(page).has_value(),
+                          looked_up.probe(page).has_value())
+                    << std::hex << page;
+            }
+            EXPECT_EQ(tlbImage(replayed), tlbImage(looked_up));
+        }
+    }
 }
 
 /** Fixture with a PTW wired through a bus to ideal memory. */
